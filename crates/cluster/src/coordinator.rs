@@ -34,7 +34,6 @@ use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use isex_engine::{CancelToken, Cancelled, EventSink, FaultPlan, RunMetrics};
@@ -42,7 +41,7 @@ use isex_flow::{
     explore_block_entry, finish_from_entries, hot_blocks, load_journal, run_key, CheckpointEntry,
     FlowConfig, FlowReport,
 };
-use isex_serve::ExploreRequest;
+use isex_serve::{Acceptor, ExploreRequest};
 use isex_trace::{OwnedSpan, PhaseProfile, PhaseStat, Tracer};
 use isex_workloads::Program;
 
@@ -276,6 +275,11 @@ struct ClusterState {
     /// Federated per-worker telemetry by name; outlives connections and
     /// runs, like the breakers.
     telemetry: HashMap<String, WorkerTelemetry>,
+    /// Bumped under the lock by every connection-side change (a worker
+    /// joining or leaving, any frame it sends). The run loop waits only if
+    /// this has not moved since its last scan, so a result that lands
+    /// while the loop is between locks is never left for the next tick.
+    changes: u64,
 }
 
 /// Can `worker` be assigned a job right now? Alive, breaker closed — or
@@ -327,16 +331,13 @@ fn lock_unpoisoned<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 /// joins its threads.
 pub struct Coordinator {
     shared: Arc<Shared>,
-    local_addr: SocketAddr,
-    acceptor: Option<JoinHandle<()>>,
+    acceptor: Acceptor,
 }
 
 impl Coordinator {
     /// Binds the worker-facing listener and starts accepting workers.
     pub fn start(config: CoordinatorConfig) -> std::io::Result<Coordinator> {
         let listener = TcpListener::bind(&config.listen_addr)?;
-        listener.set_nonblocking(true)?;
-        let local_addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
             config,
             state: Mutex::new(ClusterState {
@@ -344,26 +345,25 @@ impl Coordinator {
                 run: None,
                 breakers: HashMap::new(),
                 telemetry: HashMap::new(),
+                changes: 0,
             }),
             wake: Condvar::new(),
             shutdown: AtomicBool::new(false),
             next_worker_id: AtomicU64::new(1),
         });
         let acceptor_shared = Arc::clone(&shared);
-        let acceptor = std::thread::Builder::new()
-            .name("isex-cluster-accept".to_string())
-            .spawn(move || accept_loop(listener, acceptor_shared))
-            .expect("spawn cluster acceptor");
-        Ok(Coordinator {
-            shared,
-            local_addr,
-            acceptor: Some(acceptor),
-        })
+        let acceptor = Acceptor::spawn(listener, "isex-cluster-accept", move |stream| {
+            let shared = Arc::clone(&acceptor_shared);
+            let _ = std::thread::Builder::new()
+                .name("isex-cluster-reader".to_string())
+                .spawn(move || serve_worker_connection(stream, &shared));
+        })?;
+        Ok(Coordinator { shared, acceptor })
     }
 
     /// The worker-facing address actually bound (resolves `:0`).
     pub fn addr(&self) -> SocketAddr {
-        self.local_addr
+        self.acceptor.addr()
     }
 
     /// Workers currently connected and alive.
@@ -660,8 +660,10 @@ impl Coordinator {
             let mut fresh: Vec<CheckpointEntry> = Vec::new();
             let mut local_block: Option<usize> = None;
             let dispatched: Vec<usize>;
+            let scanned_at: u64;
             {
                 let mut state = lock_unpoisoned(&self.shared.state);
+                scanned_at = state.changes;
                 self.expire_silent_workers(&mut state);
                 dispatched = self.dispatch(&mut state, &cfg.tracer);
                 let ClusterState {
@@ -767,14 +769,17 @@ impl Coordinator {
 
             if fresh.is_empty() {
                 // Nothing to do until a result, a worker change, or the
-                // next heartbeat deadline.
+                // next heartbeat deadline — unless one of the first two
+                // already happened since the scan above.
                 let state = lock_unpoisoned(&self.shared.state);
-                let tick = self.shared.config.heartbeat_ms.clamp(10, 100);
-                let _ = self
-                    .shared
-                    .wake
-                    .wait_timeout(state, Duration::from_millis(tick))
-                    .unwrap_or_else(PoisonError::into_inner);
+                if state.changes == scanned_at {
+                    let tick = self.shared.config.heartbeat_ms.clamp(10, 100);
+                    let _ = self
+                        .shared
+                        .wake
+                        .wait_timeout(state, Duration::from_millis(tick))
+                        .unwrap_or_else(PoisonError::into_inner);
+                }
             }
         };
         self.shared.wake.notify_all();
@@ -1041,6 +1046,7 @@ impl Coordinator {
 
     fn shutdown_inner(&mut self) {
         self.shared.shutdown.store(true, Ordering::Release);
+        self.acceptor.shutdown();
         {
             let mut state = lock_unpoisoned(&self.shared.state);
             for worker in &mut state.workers {
@@ -1052,9 +1058,6 @@ impl Coordinator {
             }
         }
         self.shared.wake.notify_all();
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
-        }
     }
 }
 
@@ -1237,26 +1240,6 @@ fn append_entry(file: &mut std::fs::File, entry: &CheckpointEntry) -> std::io::R
     file.sync_data()
 }
 
-fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
-    loop {
-        if shared.shutdown.load(Ordering::Acquire) {
-            return;
-        }
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let shared = Arc::clone(&shared);
-                let _ = std::thread::Builder::new()
-                    .name("isex-cluster-reader".to_string())
-                    .spawn(move || serve_worker_connection(stream, &shared));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(10)),
-        }
-    }
-}
-
 /// One worker connection: handshake, then a read loop that feeds
 /// heartbeats and results into the shared state until the peer goes away.
 fn serve_worker_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
@@ -1308,6 +1291,7 @@ fn serve_worker_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
             jobs_done: 0,
             obs,
         });
+        state.changes += 1;
     }
     shared.wake.notify_all();
 
@@ -1317,11 +1301,13 @@ fn serve_worker_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
             break; // hostile or skewed peer: drop it
         };
         let mut state = lock_unpoisoned(&shared.state);
+        state.changes += 1;
         let ClusterState {
             workers,
             run,
             breakers,
             telemetry,
+            ..
         } = &mut *state;
         let Some(worker) = workers.iter_mut().find(|w| w.id == worker_id) else {
             break;
@@ -1445,6 +1431,7 @@ fn serve_worker_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
             requeue_worker_inflight(run_state, worker);
         }
     }
+    state.changes += 1;
     drop(state);
     shared.wake.notify_all();
 }

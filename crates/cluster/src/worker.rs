@@ -139,7 +139,12 @@ fn dial(config: &WorkerConfig) -> Result<TcpStream, String> {
     let mut last_err = String::new();
     for _ in 0..config.max_dial_attempts.max(1) {
         match TcpStream::connect(&config.connect) {
-            Ok(stream) => return Ok(stream),
+            Ok(stream) => {
+                // Frames are small and answered one at a time: don't let
+                // Nagle hold a result back waiting for an ACK.
+                let _ = stream.set_nodelay(true);
+                return Ok(stream);
+            }
             Err(e) => last_err = e.to_string(),
         }
         std::thread::sleep(Duration::from_millis(config.retry_ms.max(1)));

@@ -575,3 +575,77 @@ fn hostile_bytes_on_the_cluster_port_do_not_wedge_the_coordinator() {
     Arc::try_unwrap(coord).ok().expect("sole owner").shutdown();
     let _ = w0.join();
 }
+
+/// Runs `stop` on a helper thread and fails the test unless it returns
+/// within `bound` — a wedged acceptor is a failure, not a stuck suite.
+fn within(bound: Duration, what: &str, stop: impl FnOnce() + Send + 'static) {
+    let (done, finished) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        stop();
+        let _ = done.send(());
+    });
+    finished
+        .recv_timeout(bound)
+        .unwrap_or_else(|_| panic!("{what} did not return within {bound:?}"));
+}
+
+#[test]
+fn coordinator_on_the_unspecified_address_shuts_down_promptly() {
+    let coord = Arc::new(
+        Coordinator::start(CoordinatorConfig {
+            listen_addr: "0.0.0.0:0".to_string(),
+            heartbeat_ms: 200,
+            ..CoordinatorConfig::default()
+        })
+        .expect("coordinator binds"),
+    );
+    assert!(coord.addr().ip().is_unspecified());
+    let loopback: std::net::SocketAddr = ([127, 0, 0, 1], coord.addr().port()).into();
+    let worker = spawn_worker(loopback, "u0");
+    assert!(coord.wait_for_workers(1, Duration::from_secs(10)));
+
+    // The daemon's HTTP front on the unspecified address too.
+    let runner = Arc::new(ClusterRunner::new(Arc::clone(&coord)));
+    let handle = isex_serve::start_with_runner(
+        isex_serve::ServerConfig {
+            addr: "0.0.0.0:0".to_string(),
+            engine_workers: 1,
+            ..isex_serve::ServerConfig::default()
+        },
+        runner,
+    )
+    .expect("server starts");
+    let http = format!("127.0.0.1:{}", handle.addr().port());
+    let request = small_request(73);
+    let response = isex_serve::client::explore(&http, &request).expect("explore succeeds");
+    assert_eq!(
+        report_json(&response.report),
+        report_json(&single_node(&request, None))
+    );
+
+    let started = std::time::Instant::now();
+    within(Duration::from_secs(10), "server shutdown", move || {
+        handle.shutdown()
+    });
+    within(Duration::from_secs(10), "coordinator shutdown", move || {
+        Arc::try_unwrap(coord).ok().expect("sole owner").shutdown()
+    });
+    assert!(
+        started.elapsed() < Duration::from_secs(3),
+        "loopback wakes stop both acceptors at once, took {:?}",
+        started.elapsed()
+    );
+    // The coordinator's Goodbye lets the worker exit cleanly.
+    within(Duration::from_secs(10), "worker exit", move || {
+        let _ = worker.join();
+    });
+    assert!(TcpStream::connect(loopback).is_err(), "listener closed");
+}
+
+#[test]
+fn idle_coordinator_shuts_down() {
+    let coord = Coordinator::start(CoordinatorConfig::default()).expect("coordinator binds");
+    within(Duration::from_secs(10), "coordinator shutdown", move || {
+        coord.shutdown()
+    });
+}

@@ -226,7 +226,8 @@ pub fn reason(status: u16) -> &'static str {
 
 /// Writes a complete response with the given content type and flushes.
 /// `extra_headers` come after the standard set (used for `Retry-After` and
-/// trace-ID echoing).
+/// trace-ID echoing). Head and body go out in one `write_all`, so a small
+/// response leaves in one segment.
 pub fn write_response<W: Write>(
     stream: &mut W,
     status: u16,
@@ -234,7 +235,7 @@ pub fn write_response<W: Write>(
     body: &str,
     extra_headers: &[(&str, String)],
 ) -> std::io::Result<()> {
-    let mut head = format!(
+    let mut out = format!(
         "HTTP/1.1 {} {}\r\ncontent-type: {}\r\ncontent-length: {}\r\nconnection: close\r\n",
         status,
         reason(status),
@@ -242,11 +243,11 @@ pub fn write_response<W: Write>(
         body.len()
     );
     for (k, v) in extra_headers {
-        head.push_str(&format!("{k}: {v}\r\n"));
+        out.push_str(&format!("{k}: {v}\r\n"));
     }
-    head.push_str("\r\n");
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
+    out.push_str("\r\n");
+    out.push_str(body);
+    stream.write_all(out.as_bytes())?;
     stream.flush()
 }
 
@@ -269,6 +270,48 @@ mod tests {
         assert_eq!(find_head_end(b"GET / HTTP/1.1\r\n\r\n"), Some(18));
         assert_eq!(find_head_end(b"GET / HTTP/1.1\r\n"), None);
         assert_eq!(find_head_end(b"a\r\n\r\nbody"), Some(5));
+    }
+
+    #[test]
+    fn response_bytes_are_unchanged_and_written_once() {
+        /// Counts `write` calls; accepts every byte of each.
+        struct Counting(Vec<u8>, usize);
+        impl Write for Counting {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.1 += 1;
+                self.0.extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut out = Counting(Vec::new(), 0);
+        let extra = [
+            ("retry-after", "1".to_string()),
+            ("x-isex-trace-id", "t-1".to_string()),
+        ];
+        write_json_response(&mut out, 503, "{\"error\":\"full\"}", &extra).unwrap();
+        assert_eq!(
+            String::from_utf8(out.0).unwrap(),
+            "HTTP/1.1 503 Service Unavailable\r\n\
+             content-type: application/json\r\n\
+             content-length: 16\r\n\
+             connection: close\r\n\
+             retry-after: 1\r\n\
+             x-isex-trace-id: t-1\r\n\
+             \r\n\
+             {\"error\":\"full\"}"
+        );
+        assert_eq!(out.1, 1, "head and body leave in one write");
+
+        let mut plain = Vec::new();
+        write_response(&mut plain, 200, "text/plain", "", &[]).unwrap();
+        assert_eq!(
+            plain,
+            b"HTTP/1.1 200 OK\r\ncontent-type: text/plain\r\ncontent-length: 0\r\n\
+              connection: close\r\n\r\n"
+        );
     }
 
     #[test]

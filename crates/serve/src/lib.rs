@@ -66,6 +66,7 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod accept;
 pub mod cache;
 pub mod client;
 pub mod events;
@@ -78,6 +79,7 @@ pub mod server;
 pub mod signal;
 pub mod trace;
 
+pub use accept::Acceptor;
 pub use protocol::{ExploreRequest, ExploreResponse};
 pub use server::{
     run, run_from_args, start, start_with_runner, ExploreRunner, LocalRunner, ServerConfig,

@@ -10,7 +10,7 @@
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use isex_engine::CancelToken;
 
@@ -237,16 +237,19 @@ impl JobQueue {
             if let Some(job) = queue.pop_front() {
                 return Some(job);
             }
-            let (next, _) = self
+            queue = self
                 .available
-                .wait_timeout(queue, Duration::from_millis(100))
+                .wait(queue)
                 .unwrap_or_else(PoisonError::into_inner);
-            queue = next;
         }
     }
 
-    /// Wakes every blocked [`pop`](JobQueue::pop) (used at shutdown).
+    /// Wakes every blocked [`pop`](JobQueue::pop) (used at shutdown, after
+    /// the flag is set). Taking the queue lock first means no `pop` can sit
+    /// between its flag check and its wait: it either saw the flag or is
+    /// already waiting, and the notify reaches it.
     pub fn wake_all(&self) {
+        drop(lock_unpoisoned(&self.queue));
         self.available.notify_all();
     }
 
@@ -360,6 +363,7 @@ impl Drop for InFlightGuard<'_> {
 mod tests {
     use super::*;
     use crate::protocol::ExploreRequest;
+    use std::time::Duration;
 
     fn job() -> Arc<Job> {
         Job::new(ExploreRequest::default(), "k".into(), "t0".into())
@@ -381,6 +385,25 @@ mod tests {
         let shutdown = AtomicBool::new(true);
         assert!(q.pop(&shutdown).is_none());
         assert_eq!(q.drain().len(), 1);
+    }
+
+    #[test]
+    fn shutdown_wakes_a_pop_blocked_on_an_empty_queue() {
+        let q = Arc::new(JobQueue::new(4));
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let (tx, rx) = std::sync::mpsc::channel();
+        let (q2, flag) = (Arc::clone(&q), Arc::clone(&shutdown));
+        std::thread::spawn(move || {
+            let _ = tx.send(q2.pop(&flag).is_none());
+        });
+        // Give the popper time to block (the wake must work either way).
+        std::thread::sleep(Duration::from_millis(50));
+        shutdown.store(true, Ordering::Release);
+        q.wake_all();
+        let woke_empty = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("pop must return once shutdown is signalled");
+        assert!(woke_empty, "a shut-down pop returns None");
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //!
 //! Threading model — all std, no async runtime:
 //!
-//! * one **acceptor** thread on a non-blocking listener (so it can poll the
-//!   shutdown flag);
+//! * one **acceptor** thread blocked in `accept()` ([`Acceptor`]; shutdown
+//!   wakes it with a loopback connection);
 //! * one short-lived **connection** thread per request (`Connection:
 //!   close`, bounded by socket timeouts);
 //! * `engine_workers` long-lived **worker** threads popping the bounded
@@ -29,6 +29,7 @@ use isex_flow::{run_flow_cancellable, FlowConfig, FlowReport};
 use isex_workloads::Program;
 use serde::Value;
 
+use crate::accept::Acceptor;
 use crate::cache::{CachedResult, ResultCache};
 use crate::http::{self, HttpError, Request};
 use crate::jobs::{JobTable, Submitted};
@@ -294,15 +295,14 @@ pub struct ServerState {
 /// leaves the threads running detached.
 pub struct ServerHandle {
     state: Arc<ServerState>,
-    local_addr: SocketAddr,
-    acceptor: Option<JoinHandle<()>>,
+    acceptor: Acceptor,
     workers: Vec<JoinHandle<()>>,
 }
 
 impl ServerHandle {
     /// The address actually bound (resolves `:0`).
     pub fn addr(&self) -> SocketAddr {
-        self.local_addr
+        self.acceptor.addr()
     }
 
     /// The shared state (tests poke counters through this).
@@ -310,7 +310,9 @@ impl ServerHandle {
         &self.state
     }
 
-    /// Requests shutdown without blocking (signal-handler friendly).
+    /// Requests shutdown without blocking (signal-handler friendly): new
+    /// work is refused and idle workers exit. The listener keeps answering
+    /// until [`shutdown`](ServerHandle::shutdown) stops it.
     pub fn request_shutdown(&self) {
         self.state.shutdown.store(true, Ordering::Release);
         self.state.queue.wake_all();
@@ -320,9 +322,7 @@ impl ServerHandle {
     /// in-flight runs, join every thread.
     pub fn shutdown(mut self) {
         self.request_shutdown();
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
-        }
+        self.acceptor.shutdown();
         // Queued-but-unstarted jobs are rejected so their waiters get an
         // immediate 503 instead of silently losing the race with workers
         // that are already exiting.
@@ -354,8 +354,6 @@ pub fn start_with_runner(
     runner: Arc<dyn ExploreRunner>,
 ) -> std::io::Result<ServerHandle> {
     let listener = TcpListener::bind(&config.addr)?;
-    listener.set_nonblocking(true)?;
-    let local_addr = listener.local_addr()?;
 
     if let Some(dir) = &config.trace_dir {
         std::fs::create_dir_all(dir)?;
@@ -392,41 +390,22 @@ pub fn start_with_runner(
     }
 
     let acceptor_state = Arc::clone(&state);
-    let acceptor = std::thread::Builder::new()
-        .name("isexd-acceptor".to_string())
-        .spawn(move || accept_loop(listener, acceptor_state))
-        .expect("spawn acceptor");
+    let acceptor = Acceptor::spawn(listener, "isexd-acceptor", move |stream| {
+        let state = Arc::clone(&acceptor_state);
+        state.active_connections.fetch_add(1, Ordering::AcqRel);
+        let _ = std::thread::Builder::new()
+            .name("isexd-conn".to_string())
+            .spawn(move || {
+                handle_connection(stream, &state);
+                state.active_connections.fetch_sub(1, Ordering::AcqRel);
+            });
+    })?;
 
     Ok(ServerHandle {
         state,
-        local_addr,
-        acceptor: Some(acceptor),
+        acceptor,
         workers,
     })
-}
-
-fn accept_loop(listener: TcpListener, state: Arc<ServerState>) {
-    loop {
-        if state.shutdown.load(Ordering::Acquire) {
-            return;
-        }
-        match listener.accept() {
-            Ok((stream, _)) => {
-                state.active_connections.fetch_add(1, Ordering::AcqRel);
-                let state = Arc::clone(&state);
-                let _ = std::thread::Builder::new()
-                    .name("isexd-conn".to_string())
-                    .spawn(move || {
-                        handle_connection(stream, &state);
-                        state.active_connections.fetch_sub(1, Ordering::AcqRel);
-                    });
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(10)),
-        }
-    }
 }
 
 fn worker_loop(state: &Arc<ServerState>) {

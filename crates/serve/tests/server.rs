@@ -384,3 +384,73 @@ fn graceful_shutdown_drains_the_in_flight_job() {
         "server should no longer accept connections"
     );
 }
+
+/// Runs `handle.shutdown()` on a helper thread and fails the test if it
+/// has not returned within `bound` — a hung acceptor shows up as a test
+/// failure, not a stuck suite.
+fn shutdown_within(handle: isex_serve::ServerHandle, bound: Duration) {
+    let (done, finished) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        handle.shutdown();
+        let _ = done.send(());
+    });
+    finished
+        .recv_timeout(bound)
+        .expect("shutdown must return within its bound");
+}
+
+#[test]
+fn server_on_the_unspecified_address_shuts_down_promptly() {
+    let handle = start(ServerConfig {
+        addr: "0.0.0.0:0".to_string(),
+        ..ServerConfig::default()
+    })
+    .expect("start server");
+    assert!(handle.addr().ip().is_unspecified());
+    let loopback = format!("127.0.0.1:{}", handle.addr().port());
+    assert_eq!(
+        client::get(&loopback, "/healthz").expect("healthz").status,
+        200
+    );
+
+    let started = Instant::now();
+    shutdown_within(handle, Duration::from_secs(10));
+    assert!(
+        started.elapsed() < Duration::from_secs(2),
+        "the loopback wake stops the acceptor at once, took {:?}",
+        started.elapsed()
+    );
+    assert!(
+        client::get(&loopback, "/healthz").is_err(),
+        "listener closed"
+    );
+}
+
+#[test]
+fn shutdown_wake_is_not_counted_as_a_request() {
+    let handle = start(config()).expect("start server");
+    let addr = handle.addr().to_string();
+    for _ in 0..3 {
+        assert_eq!(client::get(&addr, "/healthz").expect("healthz").status, 200);
+    }
+    let state = std::sync::Arc::clone(handle.state());
+    shutdown_within(handle, Duration::from_secs(10));
+
+    // Served, the wake connection (closed before sending a head) would
+    // have been answered `400` and counted; it must not be served at all.
+    let doc = state.metrics.snapshot(&state.queue, &state.cache, &[]);
+    let by_status = lookup(&doc, &["requests", "by_status"])
+        .as_object()
+        .expect("by_status object");
+    let counts: Vec<(String, u64)> = by_status
+        .iter()
+        .map(|(code, n)| (code.clone(), metric_u64(n, &[])))
+        .collect();
+    assert_eq!(counts, vec![("200".to_string(), 3)]);
+}
+
+#[test]
+fn idle_server_shuts_down() {
+    let handle = start(config()).expect("start server");
+    shutdown_within(handle, Duration::from_secs(10));
+}
