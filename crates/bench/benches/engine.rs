@@ -1,6 +1,6 @@
 //! Scaling benchmark for the exploration engine's worker pool.
 //!
-//! Two sections:
+//! Four sections:
 //!
 //! * `flow` — the full `run_flow` at 1/2/4/8 workers. CPU-bound, so the
 //!   speedup tracks the host's core count: ≥2× at 4 workers needs ≥4
@@ -14,14 +14,14 @@
 //!   The disabled path is the one every untraced run pays and must stay
 //!   within noise of a build without the instrumentation (≤2% is the
 //!   budget); the enabled ratio prices `--trace`.
-//! * `hot_path` — the same flow at one worker across the three evaluation
-//!   modes: legacy (no cache), eval-cache with full timing passes, and the
-//!   default eval-cache + incremental-timing/SoA fast path. One worker
-//!   isolates per-evaluation cost from pool overlap; all three modes are
-//!   first pinned to serialize to byte-identical reports, so the ratios
-//!   price pure wall-clock optimisations. `hot_path` records the cache
-//!   alone (uncached/cached); `hot_path_v2` records the cumulative
-//!   uncached/v2 ratio, the PR-over-PR view of the same baseline.
+//! * `hot_path` — the reference evaluation against the production one
+//!   over the identical engine job list (every crc32 block of the `flow`
+//!   config × 5 repeats, seeds from `derive_seed(0xE46, …)`) on one
+//!   thread. Both sides are first pinned to byte-equal explorations and
+//!   walk traces, so the ratio prices pure wall-clock work. Samples are
+//!   interleaved (reference, production, reference, …) so host drift hits
+//!   both sides alike; the section reports the median per-pair ratio and
+//!   its interquartile range.
 //!
 //! Results land in `BENCH_engine.json` at the workspace root (committed so
 //! the numbers travel with the code; absolute times are machine-dependent,
@@ -29,19 +29,29 @@
 //!
 //! Run with: `cargo bench -p isex-bench --bench engine`
 //!
-//! With `ISEX_BENCH_SMOKE=1` only the `hot_path` sections run (few
-//! samples), the cumulative uncached/v2 ratio is asserted ≥ 1.41 (the
-//! floor the eval cache alone already demonstrated), and no result file is
-//! written — the CI regression gate against the hot path losing ground.
+//! With `ISEX_BENCH_SMOKE=1` only the `hot_path` section runs (5 pairs),
+//! its median reference/production ratio is asserted ≥ [`SMOKE_FLOOR`],
+//! and no result file is written — the CI regression gate against the hot
+//! path losing ground.
 
 use std::time::{Duration, Instant};
 
-use isex_engine::run_jobs;
-use isex_flow::{run_flow, Algorithm, FlowConfig};
-use isex_workloads::{Benchmark, OptLevel};
+use isex_core::MultiIssueExplorer;
+use isex_engine::{run_jobs, ExploreJob};
+use isex_flow::{hot_blocks, run_flow, Algorithm, FlowConfig};
+use isex_workloads::{Benchmark, OptLevel, Program};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 const WORKERS: &[usize] = &[1, 2, 4, 8];
 const SAMPLES: usize = 5;
+/// Interleaved reference/production pairs of the full `hot_path` run.
+const HOT_PATH_PAIRS: usize = 15;
+/// Lowest median reference/production ratio the smoke run accepts: the
+/// 1.41× flow-level floor scaled by the job-level/flow-level ratio measured
+/// on the commit that introduced the job-level section (selection and
+/// replacement no longer dilute either side).
+const SMOKE_FLOOR: f64 = 1.43;
 
 fn flow_cfg(jobs: usize) -> FlowConfig {
     let mut cfg = FlowConfig::paper_default(Algorithm::MultiIssue);
@@ -54,9 +64,11 @@ fn flow_cfg(jobs: usize) -> FlowConfig {
     cfg
 }
 
-fn median(samples: &mut [f64]) -> f64 {
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("finite times"));
-    samples[samples.len() / 2]
+/// Quartile `q` (0.25, 0.5, 0.75) of `samples`.
+fn quantile(samples: &[f64], q: f64) -> f64 {
+    let mut s = samples.to_vec();
+    s.sort_by(|a, b| a.partial_cmp(b).expect("finite times"));
+    s[((s.len() - 1) as f64 * q).round() as usize]
 }
 
 fn rows_json(rows: &[(usize, f64, f64)]) -> String {
@@ -70,14 +82,14 @@ fn rows_json(rows: &[(usize, f64, f64)]) -> String {
         .join(",\n")
 }
 
-fn flow_section(program: &isex_workloads::Program) -> Vec<(usize, f64, f64)> {
+fn flow_section(program: &Program) -> Vec<(usize, f64, f64)> {
     let mut rows = Vec::new();
     let mut serial_ms = 0.0;
     for &workers in WORKERS {
         let cfg = flow_cfg(workers);
         // Warm-up run; also pins down the report we assert against below.
         let reference = run_flow(&cfg, program, 0xE46);
-        let mut samples: Vec<f64> = (0..SAMPLES)
+        let samples: Vec<f64> = (0..SAMPLES)
             .map(|_| {
                 let start = Instant::now();
                 let report = run_flow(&cfg, program, 0xE46);
@@ -88,7 +100,7 @@ fn flow_section(program: &isex_workloads::Program) -> Vec<(usize, f64, f64)> {
                 start.elapsed().as_secs_f64() * 1e3
             })
             .collect();
-        let ms = median(&mut samples);
+        let ms = quantile(&samples, 0.5);
         if workers == 1 {
             serial_ms = ms;
         }
@@ -106,7 +118,7 @@ fn pool_overlap_section() -> Vec<(usize, f64, f64)> {
     let mut rows = Vec::new();
     let mut serial_ms = 0.0;
     for &workers in WORKERS {
-        let mut samples: Vec<f64> = (0..SAMPLES)
+        let samples: Vec<f64> = (0..SAMPLES)
             .map(|_| {
                 let start = Instant::now();
                 let out = run_jobs(&items, workers, |_, &x| {
@@ -117,7 +129,7 @@ fn pool_overlap_section() -> Vec<(usize, f64, f64)> {
                 start.elapsed().as_secs_f64() * 1e3
             })
             .collect();
-        let ms = median(&mut samples);
+        let ms = quantile(&samples, 0.5);
         if workers == 1 {
             serial_ms = ms;
         }
@@ -129,11 +141,11 @@ fn pool_overlap_section() -> Vec<(usize, f64, f64)> {
 }
 
 /// Median flow time with the given tracer installed, new tracer per run.
-fn traced_flow_ms(program: &isex_workloads::Program, make: impl Fn() -> isex_trace::Tracer) -> f64 {
+fn traced_flow_ms(program: &Program, make: impl Fn() -> isex_trace::Tracer) -> f64 {
     let mut cfg = flow_cfg(4);
     cfg.tracer = make();
     let _warm = run_flow(&cfg, program, 0xE46);
-    let mut samples: Vec<f64> = (0..SAMPLES)
+    let samples: Vec<f64> = (0..SAMPLES)
         .map(|_| {
             let mut cfg = flow_cfg(4);
             cfg.tracer = make();
@@ -142,10 +154,10 @@ fn traced_flow_ms(program: &isex_workloads::Program, make: impl Fn() -> isex_tra
             start.elapsed().as_secs_f64() * 1e3
         })
         .collect();
-    median(&mut samples)
+    quantile(&samples, 0.5)
 }
 
-fn trace_overhead_section(program: &isex_workloads::Program) -> (f64, f64, f64) {
+fn trace_overhead_section(program: &Program) -> (f64, f64, f64) {
     let disabled_ms = traced_flow_ms(program, isex_trace::Tracer::disabled);
     let enabled_ms = traced_flow_ms(program, isex_trace::Tracer::new);
     let ratio = enabled_ms / disabled_ms;
@@ -154,56 +166,79 @@ fn trace_overhead_section(program: &isex_workloads::Program) -> (f64, f64, f64) 
     (disabled_ms, enabled_ms, ratio)
 }
 
-/// Medians for the three evaluation modes: `(uncached_ms, cached_ms, v2_ms)`.
-fn hot_path_section(program: &isex_workloads::Program, samples: usize) -> (f64, f64, f64) {
-    let run = |eval_cache: bool, incremental: bool| {
-        let mut cfg = flow_cfg(1);
-        cfg.eval_cache = eval_cache;
-        cfg.incremental = incremental;
-        run_flow(&cfg, program, 0xE46)
-    };
-    // Warm-up every mode, pinning the layer's core contract along the way:
-    // all three evaluation paths serialize to byte-identical reports.
-    let legacy_ref = serde_json::to_string(&run(false, false)).expect("report serializes");
-    let cached_ref = serde_json::to_string(&run(true, false)).expect("report serializes");
-    let v2_ref = serde_json::to_string(&run(true, true)).expect("report serializes");
-    assert_eq!(
-        cached_ref, legacy_ref,
-        "the eval cache must not change the flow report"
-    );
-    assert_eq!(
-        v2_ref, legacy_ref,
-        "incremental timing must not change the flow report"
-    );
-    let time = |eval_cache: bool, incremental: bool| {
-        let mut s: Vec<f64> = (0..samples)
-            .map(|_| {
-                let start = Instant::now();
-                let report = run(eval_cache, incremental);
-                let ms = start.elapsed().as_secs_f64() * 1e3;
-                assert_eq!(
-                    serde_json::to_string(&report).expect("report serializes"),
-                    legacy_ref,
-                    "every run must reproduce the pinned report"
-                );
-                ms
+/// Medians and spread of the `hot_path` section.
+struct HotPath {
+    jobs: usize,
+    pairs: usize,
+    reference_ms: f64,
+    production_ms: f64,
+    /// Quartiles of the per-pair reference/production ratio.
+    ratio: [f64; 3],
+}
+
+fn hot_path_section(program: &Program, pairs: usize) -> HotPath {
+    let cfg = flow_cfg(1);
+    let hot = hot_blocks(&cfg, program);
+    let jobs = ExploreJob::plan(hot.len(), cfg.repeats, 0xE46);
+    let explorer = MultiIssueExplorer::with_params(cfg.machine, cfg.constraints, cfg.params);
+    // One sample: the whole job list on this thread; results are
+    // serialized after the clock stops.
+    let run = |reference: bool| {
+        let start = Instant::now();
+        let results: Vec<_> = jobs
+            .iter()
+            .map(|job| {
+                let dfg = &hot[job.block_index].dfg;
+                let mut rng = StdRng::seed_from_u64(job.seed);
+                if reference {
+                    explorer.explore_reference(dfg, &mut rng)
+                } else {
+                    explorer.explore_traced(dfg, &mut rng)
+                }
             })
             .collect();
-        median(&mut s)
+        let ms = start.elapsed().as_secs_f64() * 1e3;
+        (
+            ms,
+            serde_json::to_string(&results).expect("results serialize"),
+        )
     };
-    let uncached_ms = time(false, false);
-    let cached_ms = time(true, false);
-    let v2_ms = time(true, true);
-    println!("hot_path uncached: median {uncached_ms:8.1} ms");
+    // Warm-up, pinning the contract: byte-equal explorations and traces.
+    let (_, pinned) = run(true);
+    assert_eq!(
+        run(false).1,
+        pinned,
+        "production must reproduce the reference explorations and walk traces"
+    );
+    let (mut reference, mut production, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
+    for _ in 0..pairs {
+        let timed = |side: bool| {
+            let (ms, out) = run(side);
+            assert_eq!(out, pinned, "every run must reproduce the pinned results");
+            ms
+        };
+        let r = timed(true);
+        let p = timed(false);
+        reference.push(r);
+        production.push(p);
+        ratios.push(r / p);
+    }
+    let hp = HotPath {
+        jobs: jobs.len(),
+        pairs,
+        reference_ms: quantile(&reference, 0.5),
+        production_ms: quantile(&production, 0.5),
+        ratio: [0.25, 0.5, 0.75].map(|q| quantile(&ratios, q)),
+    };
     println!(
-        "hot_path cached:   median {cached_ms:8.1} ms  speedup {:4.2}x",
-        uncached_ms / cached_ms
+        "hot_path {} jobs, {} interleaved pairs: reference median {:8.1} ms, production median {:8.1} ms",
+        hp.jobs, hp.pairs, hp.reference_ms, hp.production_ms
     );
     println!(
-        "hot_path v2:       median {v2_ms:8.1} ms  speedup {:4.2}x",
-        uncached_ms / v2_ms
+        "hot_path ratio median {:4.2}x  IQR {:4.2}x–{:4.2}x",
+        hp.ratio[1], hp.ratio[0], hp.ratio[2]
     );
-    (uncached_ms, cached_ms, v2_ms)
+    hp
 }
 
 fn main() {
@@ -213,30 +248,39 @@ fn main() {
         .map(|n| n.get())
         .unwrap_or(1);
 
+    println!("host_cpus {host_cpus}");
+
     if std::env::var_os("ISEX_BENCH_SMOKE").is_some() {
-        let (uncached_ms, _, v2_ms) = hot_path_section(&program, 3);
-        let ratio = uncached_ms / v2_ms;
+        let hp = hot_path_section(&program, 5);
         assert!(
-            ratio >= 1.41,
-            "hot path lost ground: cumulative uncached/v2 ratio {ratio:.3}x < 1.41x"
+            hp.ratio[1] >= SMOKE_FLOOR,
+            "hot path lost ground: median reference/production ratio {:.3}x < {SMOKE_FLOOR}x",
+            hp.ratio[1]
         );
-        println!("smoke ok: hot_path cumulative speedup {ratio:.2}x (no result file written)");
+        println!(
+            "smoke ok: hot_path median speedup {:.2}x (no result file written)",
+            hp.ratio[1]
+        );
         return;
     }
 
     let flow_rows = flow_section(&program);
     let pool_rows = pool_overlap_section();
     let (disabled_ms, enabled_ms, ratio) = trace_overhead_section(&program);
-    let (hot_uncached_ms, hot_cached_ms, hot_v2_ms) = hot_path_section(&program, SAMPLES);
-    let hot_ratio = hot_uncached_ms / hot_cached_ms;
-    let v2_ratio = hot_uncached_ms / hot_v2_ms;
+    let hp = hot_path_section(&program, HOT_PATH_PAIRS);
 
     let json = format!(
-        "{{\n  \"benchmark\": \"{}\",\n  \"host_cpus\": {host_cpus},\n  \"samples\": {SAMPLES},\n  \"repeats\": 5,\n  \"max_iterations\": 150,\n  \"flow\": [\n{}\n  ],\n  \"pool_overlap\": [\n{}\n  ],\n  \"trace_overhead\": {{\"disabled_ms\": {disabled_ms:.2}, \"enabled_ms\": {enabled_ms:.2}, \"ratio\": {ratio:.3}}},\n  \"hot_path\": {{\"cached_ms\": {hot_cached_ms:.2}, \"uncached_ms\": {hot_uncached_ms:.2}, \"ratio\": {hot_ratio:.3}}},\n  \"hot_path_v2\": {{\"v2_ms\": {hot_v2_ms:.2}, \"uncached_ms\": {hot_uncached_ms:.2}, \"ratio\": {v2_ratio:.3}, \"ratio_vs_cached\": {:.3}}}\n}}\n",
+        "{{\n  \"benchmark\": \"{}\",\n  \"host_cpus\": {host_cpus},\n  \"samples\": {SAMPLES},\n  \"repeats\": 5,\n  \"max_iterations\": 150,\n  \"flow\": [\n{}\n  ],\n  \"pool_overlap\": [\n{}\n  ],\n  \"trace_overhead\": {{\"disabled_ms\": {disabled_ms:.2}, \"enabled_ms\": {enabled_ms:.2}, \"ratio\": {ratio:.3}}},\n  \"hot_path\": {{\"jobs\": {}, \"pairs\": {}, \"reference_ms\": {:.2}, \"production_ms\": {:.2}, \"ratio\": {:.3}, \"ratio_q1\": {:.3}, \"ratio_q3\": {:.3}}}\n}}\n",
         bench.name(),
         rows_json(&flow_rows),
         rows_json(&pool_rows),
-        hot_cached_ms / hot_v2_ms
+        hp.jobs,
+        hp.pairs,
+        hp.reference_ms,
+        hp.production_ms,
+        hp.ratio[1],
+        hp.ratio[0],
+        hp.ratio[2],
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_engine.json");
     std::fs::write(path, &json).expect("write BENCH_engine.json");

@@ -1,27 +1,29 @@
-//! Round-scoped hot-path evaluation: one-shot lowering plus memoisation.
+//! Round-scoped hot-path evaluation: one lowering per round, incremental
+//! timing over struct-of-arrays graphs, and memoisation.
 //!
-//! Profiling shows the exploration loop dominated by redundant scheduling
-//! work: every `schedule_len` call re-lowers the whole graph, every merit
-//! update rebuilds the same quotient machinery, and near pheromone
-//! convergence the ants resample *identical* walks whose analysis is then
-//! recomputed from scratch (the observation ISEGEN and the ByoRISC DSE
-//! tools both act on — memoised candidate evaluation is what makes
-//! iterative-improvement ISE search tractable).
+//! Profiling shows the exploration loop dominated by schedule evaluation:
+//! every walk's merit update needs the critical path and `Max_AEC` slack of
+//! the walk's collapsed graph, every extracted candidate a list schedule,
+//! and near pheromone convergence the ants resample *identical* walks
+//! (the observation ISEGEN and the ByoRISC DSE tools both act on —
+//! memoised candidate evaluation is what makes iterative-improvement ISE
+//! search tractable).
 //!
-//! [`RoundEval`] lowers the round's [`ExGraph`] exactly once and shares
-//! that `SchedDfg` between the base-length measurement, the SP-function
-//! values and the per-walk merit analysis (whose payloads are patched in
-//! place — the edge structure never changes within a round). On top of the
-//! shared lowering sit two memo tables keyed by canonical `u64`
-//! fingerprints: walk → recorded merit-op sequence, and candidate
-//! `(members, footprint)` → schedule length. Keys compare by full `Vec<u64>`
-//! equality — the FxHash-style hasher only speeds up bucket lookup, so hash
-//! collisions cannot change results and cached runs stay bitwise identical
-//! to uncached ones.
+//! [`RoundEval`] lowers the round's [`ExGraph`] once into a [`SoaGraph`]
+//! and computes its ASAP/ALAP/height baseline ([`BaseTiming`]). A walk or
+//! candidate then only patches latencies and collapses groups on reusable
+//! arrays; the incremental kernels recompute timing inside the patched
+//! cones and copy the rest from the baseline. On top sit two memo tables
+//! keyed by canonical `u64` fingerprints: walk → recorded merit-op
+//! sequence, and candidate `(members, footprint)` → schedule length. Keys
+//! compare by full `Vec<u64>` equality — the FxHash-style hasher only
+//! speeds up bucket lookup, so hash collisions cannot change results.
 //!
 //! The cache is *round-scoped by construction*: committing a candidate
 //! collapses the graph, and the next round builds a fresh `RoundEval`, so
-//! no invalidation logic is needed (or possible to get wrong).
+//! no invalidation logic is needed (or possible to get wrong). Tests and
+//! benches pin every answer against the plain reference evaluation
+//! (`crate::reference`).
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -29,7 +31,7 @@ use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use isex_aco::{AcoParams, ImplChoice};
-use isex_dfg::{NodeSet, Reachability};
+use isex_dfg::{NodeId, NodeSet, Reachability};
 use isex_isa::MachineConfig;
 use isex_sched::collapse::collapse_groups;
 use isex_sched::soa::{
@@ -37,11 +39,12 @@ use isex_sched::soa::{
     length_from_asap, schedule_len_counters, BaseTiming, CounterSchedScratch, IncrStats, Quotient,
     QuotientScratch, SoaGraph,
 };
-use isex_sched::{list_schedule_len, ListScratch, Priority, SchedDfg, SchedOp, UnitClass};
+use isex_sched::{list_schedule_len, ListScratch, Priority, SchedOp, UnitClass};
 
 use crate::ant::Walk;
-use crate::candidate::Constraints;
+use crate::candidate::{Constraints, IseCandidate};
 use crate::exgraph::{self, ExGraph};
+use crate::explore::Evaluator;
 use crate::merit::{self, MeritOp};
 
 /// An FxHash-style multiply-rotate hasher, vendored like PR 1's dependency
@@ -96,7 +99,7 @@ impl Hasher for FxHasher {
 
 type FxBuild = BuildHasherDefault<FxHasher>;
 
-/// Cumulative hit/miss counters of the evaluation cache, shared between an
+/// Cumulative work counters of the evaluation layer, shared between an
 /// explorer and whoever reports the run (the engine folds them into
 /// `RunMetrics.phase_profile`, which the Prometheus endpoint re-exports).
 #[derive(Debug, Default)]
@@ -109,12 +112,12 @@ pub struct EvalStats {
 }
 
 impl EvalStats {
-    /// Cache hits recorded so far.
+    /// Memo hits recorded so far.
     pub fn hits(&self) -> u64 {
         self.hits.load(Ordering::Relaxed)
     }
 
-    /// Cache misses recorded so far.
+    /// Memo misses recorded so far.
     pub fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
     }
@@ -126,36 +129,57 @@ impl EvalStats {
     }
 
     /// Quotient vertices whose timing was copied from the persistent
-    /// per-round baseline (incremental path only).
+    /// per-round baseline.
     pub fn incr_copied(&self) -> u64 {
         self.incr_copied.load(Ordering::Relaxed)
     }
 
-    /// Quotient vertices whose timing was recomputed inside a dirty cone
-    /// (incremental path only).
+    /// Quotient vertices whose timing was recomputed inside a dirty cone.
     pub fn incr_recomputed(&self) -> u64 {
         self.incr_recomputed.load(Ordering::Relaxed)
     }
 
-    /// Adds a batch of counts (one exploration's worth).
-    pub fn add(&self, hits: u64, misses: u64) {
-        self.hits.fetch_add(hits, Ordering::Relaxed);
-        self.misses.fetch_add(misses, Ordering::Relaxed);
-    }
-
-    /// Adds one exploration's worth of timing-layer counters.
-    pub fn add_timing(&self, asap_saved: u64, copied: u64, recomputed: u64) {
-        self.asap_saved.fetch_add(asap_saved, Ordering::Relaxed);
-        self.incr_copied.fetch_add(copied, Ordering::Relaxed);
+    /// Adds one exploration's worth of counts.
+    pub(crate) fn add(&self, c: &EvalCounters) {
+        self.hits.fetch_add(c.hits, Ordering::Relaxed);
+        self.misses.fetch_add(c.misses, Ordering::Relaxed);
+        self.asap_saved.fetch_add(c.asap_saved, Ordering::Relaxed);
+        self.incr_copied.fetch_add(c.incr_copied, Ordering::Relaxed);
         self.incr_recomputed
-            .fetch_add(recomputed, Ordering::Relaxed);
+            .fetch_add(c.incr_recomputed, Ordering::Relaxed);
+    }
+}
+
+/// Work counters of one round's (or one exploration's) evaluation.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct EvalCounters {
+    /// Memo hits.
+    pub hits: u64,
+    /// Memo misses.
+    pub misses: u64,
+    /// Full ASAP passes avoided (shared-ASAP ALAP derivation).
+    pub asap_saved: u64,
+    /// Incremental-timing vertices copied from the round baseline.
+    pub incr_copied: u64,
+    /// Incremental-timing vertices recomputed inside dirty cones.
+    pub incr_recomputed: u64,
+}
+
+impl EvalCounters {
+    /// Adds `other` into `self`.
+    pub fn absorb(&mut self, other: EvalCounters) {
+        self.hits += other.hits;
+        self.misses += other.misses;
+        self.asap_saved += other.asap_saved;
+        self.incr_copied += other.incr_copied;
+        self.incr_recomputed += other.incr_recomputed;
     }
 }
 
 /// The canonical fingerprint of everything the merit update reads from a
 /// walk: the per-node option vector, each group's member words and frozen
 /// footprint, and the TET. Two walks with equal keys are interchangeable
-/// inputs to `analyze` + `compute_merit_ops`.
+/// inputs to the merit computation.
 fn walk_key(walk: &Walk) -> Vec<u64> {
     let mut key = Vec::with_capacity(2 + walk.choice.len() + walk.groups.len() * 3);
     key.push(walk.tet as u64);
@@ -192,44 +216,18 @@ fn candidate_key(members: &NodeSet, footprint: &SchedOp) -> Vec<u64> {
     key
 }
 
-/// One round's shared lowering and memo tables. Dropped (and with it every
-/// cached entry) when the round ends — commitment collapses the graph, so
-/// nothing cached can survive it.
-pub(crate) struct RoundEval<'a> {
-    machine: &'a MachineConfig,
-    /// The round's graph lowered once (`to_sched`), shared by the
-    /// base-length schedule, the SP values, per-walk analysis and candidate
-    /// ranking.
-    pub sched: SchedDfg,
-    /// Schedule length of `sched` with no new ISE (the round's `base_len`).
-    pub base_len: u32,
-    /// Per-walk analysis template: same edges as `sched`, payloads
-    /// overwritten for each distinct walk.
-    template: SchedDfg,
-    /// Incremental/SoA evaluation state; `None` runs the `Dfg`-walking
-    /// quotient path on every miss.
-    soa: Option<SoaRound>,
+/// One round's evaluation state: the base graph in struct-of-arrays form,
+/// its timing baseline, every scratch buffer a memo miss needs (steady
+/// state allocates nothing) and the memo tables. Dropped, and with it every
+/// cached entry, when the round ends.
+pub(crate) struct RoundEval {
+    machine: MachineConfig,
+    /// Schedule length of the round's graph with no new ISE.
+    base_len: u32,
     merit_memo: HashMap<Vec<u64>, Rc<Vec<MeritOp>>, FxBuild>,
     cand_memo: HashMap<Vec<u64>, u32, FxBuild>,
-    scratch: ListScratch,
-    /// Memo hits this round.
-    pub hits: u64,
-    /// Memo misses this round.
-    pub misses: u64,
-    /// Full ASAP passes avoided this round (shared-ASAP ALAP derivation).
-    pub asap_saved: u64,
-    /// Incremental-timing vertices copied from the baseline this round.
-    pub incr_copied: u64,
-    /// Incremental-timing vertices recomputed this round.
-    pub incr_recomputed: u64,
-}
-
-/// Persistent per-round SoA state of the incremental path: the base graph
-/// in struct-of-arrays form, its timing baseline, and every scratch buffer
-/// a miss needs — steady-state evaluation allocates nothing.
-struct SoaRound {
-    /// The round's base graph (every node on implementation option 0),
-    /// array form of `RoundEval::sched` — same indices, same adjacency.
+    counters: EvalCounters,
+    /// The round's base graph (every node on implementation option 0).
     base: SoaGraph,
     /// ASAP/ALAP/height/length baseline of `base`, computed once per round.
     bt: BaseTiming,
@@ -248,12 +246,106 @@ struct SoaRound {
     fast: merit::FastMeritScratch,
 }
 
-impl SoaRound {
-    fn of(sched: &SchedDfg, universe: usize) -> Self {
-        let base = SoaGraph::from_sched(sched);
+impl RoundEval {
+    /// The merit-op sequence of a walk the memo has not seen. Produces the
+    /// reference sequence bit for bit: `collapse_soa` replays the
+    /// reference quotient numbering exactly, the incremental ASAP/ALAP
+    /// equal full passes, the deadline translation is the exact uniform
+    /// shift of the integer ALAP recurrence, and every f64 factor is built
+    /// from identical integer inputs in the reference's expression order.
+    fn merit_ops_miss(
+        &mut self,
+        g: &ExGraph,
+        walk: &Walk,
+        constraints: &Constraints,
+        params: &AcoParams,
+        reach: &Reachability,
+    ) -> Vec<MeritOp> {
+        // Patch per-walk software latencies onto the base arrays (hardware
+        // members keep the option-0 placeholder; they sit inside a group).
+        self.patched.lat.copy_from_slice(&self.base.lat);
+        for (i, c) in walk.choice.iter().enumerate() {
+            if let ImplChoice::Sw(j) = *c {
+                self.patched.lat[i] = g.node(NodeId::new(i as u32)).payload().sched_op(j).latency;
+            }
+        }
+        self.groups.clear();
+        self.groups.extend(walk.groups.iter().map(|gr| {
+            (
+                gr.members.clone(),
+                SchedOp::new(gr.latency, gr.reads, gr.writes, UnitClass::Asfu),
+            )
+        }));
+        collapse_soa(
+            &self.patched,
+            &self.groups,
+            &mut self.qscratch,
+            &mut self.quotient,
+        );
+        let q = &self.quotient;
+        let st_a =
+            asap_incremental_into(q, &self.bt, &self.base.lat, &mut self.asap, &mut self.needs);
+        let len = length_from_asap(&q.graph, &self.asap);
+        let st_l = alap_incremental_into(
+            q,
+            &self.bt,
+            &self.base.lat,
+            len,
+            &mut self.alap,
+            &mut self.needs,
+        );
+        let mut st = IncrStats::default();
+        st.absorb(st_a);
+        st.absorb(st_l);
+        self.counters.incr_copied += st.copied;
+        self.counters.incr_recomputed += st.recomputed;
+        self.critical.clear();
+        for n in g.node_ids() {
+            let qv = q.node_map[n.index()] as usize;
+            if self.alap[qv] == self.asap[qv] {
+                self.critical.insert(n);
+            }
+        }
+        let deadline = walk.tet.max(len);
+        self.fast.prepare(&self.base, walk);
+        // `alap` holds ALAP at deadline `len`; the walk's deadline only
+        // shifts every slot by the same amount, folded into the query.
+        let mut prims = merit::FastPrims {
+            scratch: &mut self.fast,
+            base: &self.base,
+            node_map: &self.quotient.node_map,
+            qlat: &self.quotient.graph.lat,
+            asap: &self.asap,
+            alap: &self.alap,
+            extra: deadline - len,
+        };
+        merit::compute_merit_ops(
+            g,
+            walk,
+            &self.critical,
+            constraints,
+            &self.machine,
+            params,
+            reach,
+            &mut prims,
+        )
+    }
+}
+
+impl Evaluator for RoundEval {
+    /// Lowers `g` once and computes its timing baseline; `base_len` is
+    /// adopted as carried, not re-measured.
+    fn for_round(g: &ExGraph, machine: &MachineConfig, base_len: u32) -> Self {
+        let _span = isex_trace::span_with("eval.lower", || vec![("ops", g.len().to_string())]);
+        let base = SoaGraph::from_sched(&exgraph::to_sched(g));
         let bt = BaseTiming::of(&base);
         let patched = base.clone();
-        SoaRound {
+        RoundEval {
+            machine: *machine,
+            base_len,
+            merit_memo: HashMap::default(),
+            cand_memo: HashMap::default(),
+            counters: EvalCounters::default(),
             base,
             bt,
             patched,
@@ -264,64 +356,22 @@ impl SoaRound {
             height: Vec::new(),
             needs: Vec::new(),
             groups: Vec::new(),
-            critical: NodeSet::new(universe),
+            critical: NodeSet::new(g.len()),
             sched_scratch: CounterSchedScratch::default(),
             fast: merit::FastMeritScratch::default(),
         }
     }
-}
 
-impl<'a> RoundEval<'a> {
-    /// Lowers `g` once and measures (or, when the caller already knows it
-    /// from the previous round's commit, adopts) the base schedule length.
-    /// With `incremental` the round additionally keeps persistent SoA
-    /// timing state and serves every memo miss from the incremental
-    /// kernels instead of the `Dfg`-walking quotient path.
-    pub fn new(
-        g: &ExGraph,
-        machine: &'a MachineConfig,
-        known_len: Option<u32>,
-        incremental: bool,
-    ) -> Self {
-        let _span = isex_trace::span_with("eval.lower", || vec![("ops", g.len().to_string())]);
-        let sched = exgraph::to_sched(g);
-        let mut scratch = ListScratch::new();
-        let base_len = match known_len {
-            Some(len) => {
-                debug_assert_eq!(
-                    len,
-                    list_schedule_len(&sched, machine, Priority::Height, &mut scratch),
-                    "carried base length must match a fresh schedule"
-                );
-                len
-            }
-            None => list_schedule_len(&sched, machine, Priority::Height, &mut scratch),
-        };
-        let template = sched.clone();
-        let soa = incremental.then(|| SoaRound::of(&sched, g.len()));
-        RoundEval {
-            machine,
-            sched,
-            base_len,
-            template,
-            soa,
-            merit_memo: HashMap::default(),
-            cand_memo: HashMap::default(),
-            scratch,
-            hits: 0,
-            misses: 0,
-            asap_saved: 0,
-            incr_copied: 0,
-            incr_recomputed: 0,
-        }
+    fn base_len(&self) -> u32 {
+        self.base_len
     }
 
-    /// The merit-op sequence of `walk`, memoised: converged rounds resample
-    /// identical walks, whose whole analysis (quotient build, critical
-    /// path, virtual subgraphs, option evaluation) this skips. The recorded
-    /// sequence replays the exact `scale_merit` calls, so applying a cached
-    /// sequence is bit-identical to recomputing it.
-    pub fn merit_ops(
+    /// Memoised: converged rounds resample identical walks, whose whole
+    /// analysis (quotient build, critical path, virtual subgraphs, option
+    /// evaluation) a hit skips. The recorded sequence replays the exact
+    /// `scale_merit` calls, so applying a cached sequence is bit-identical
+    /// to recomputing it.
+    fn merit_ops(
         &mut self,
         g: &ExGraph,
         walk: &Walk,
@@ -331,183 +381,102 @@ impl<'a> RoundEval<'a> {
     ) -> Rc<Vec<MeritOp>> {
         let key = walk_key(walk);
         if let Some(ops) = self.merit_memo.get(&key) {
-            self.hits += 1;
+            self.counters.hits += 1;
             return Rc::clone(ops);
         }
-        self.misses += 1;
-        // Deriving ALAP from a shared (or shift-translated) ASAP avoids two
-        // full forward passes per miss on either branch below.
-        self.asap_saved += 2;
-        let ops = if self.soa.is_some() {
-            Rc::new(self.merit_ops_soa(g, walk, constraints, params, reach))
-        } else {
-            let analysis_ = merit::analyze_with(&mut self.template, g, walk);
-            // One timing analysis of the collapsed graph serves every
-            // per-operation Max_AEC query of this walk.
-            let shared = merit::CollapsedTiming::of(&analysis_);
-            Rc::new(merit::compute_merit_ops(
-                g,
-                walk,
-                &analysis_,
-                constraints,
-                self.machine,
-                params,
-                reach,
-                Some(&shared),
-            ))
-        };
+        self.counters.misses += 1;
+        // Deriving ALAP from the ASAP in hand, and the walk deadline by a
+        // uniform shift, avoids two full forward passes per miss.
+        self.counters.asap_saved += 2;
+        let ops = Rc::new(self.merit_ops_miss(g, walk, constraints, params, reach));
         self.merit_memo.insert(key, Rc::clone(&ops));
         ops
     }
 
-    /// The incremental/SoA merit miss path. Produces the same op sequence
-    /// as the `Dfg` path bit for bit: the quotient numbering is replayed
-    /// exactly by `collapse_soa`, the incremental ASAP/ALAP equal full
-    /// passes, the deadline translation is the exact uniform shift of the
-    /// integer ALAP recurrence, and every f64 factor is then computed by
-    /// the shared [`merit::compute_merit_ops_core`] from identical integer
-    /// inputs.
-    fn merit_ops_soa(
-        &mut self,
-        g: &ExGraph,
-        walk: &Walk,
-        constraints: &Constraints,
-        params: &AcoParams,
-        reach: &Reachability,
-    ) -> Vec<MeritOp> {
-        let soa = self.soa.as_mut().expect("incremental state present");
-        // Patch per-walk software latencies onto the base arrays (hardware
-        // members keep the option-0 placeholder, exactly like `analyze`).
-        soa.patched.lat.copy_from_slice(&soa.base.lat);
-        for (i, c) in walk.choice.iter().enumerate() {
-            if let ImplChoice::Sw(j) = *c {
-                soa.patched.lat[i] = g
-                    .node(isex_dfg::NodeId::new(i as u32))
-                    .payload()
-                    .sched_op(j)
-                    .latency;
-            }
-        }
-        soa.groups.clear();
-        soa.groups.extend(walk.groups.iter().map(|gr| {
-            (
-                gr.members.clone(),
-                SchedOp::new(gr.latency, gr.reads, gr.writes, UnitClass::Asfu),
-            )
-        }));
-        collapse_soa(
-            &soa.patched,
-            &soa.groups,
-            &mut soa.qscratch,
-            &mut soa.quotient,
-        );
-        let q = &soa.quotient;
-        let st_a = asap_incremental_into(q, &soa.bt, &soa.base.lat, &mut soa.asap, &mut soa.needs);
-        let len = length_from_asap(&q.graph, &soa.asap);
-        let st_l = alap_incremental_into(
-            q,
-            &soa.bt,
-            &soa.base.lat,
-            len,
-            &mut soa.alap,
-            &mut soa.needs,
-        );
-        let mut st = IncrStats::default();
-        st.absorb(st_a);
-        st.absorb(st_l);
-        self.incr_copied += st.copied;
-        self.incr_recomputed += st.recomputed;
-        soa.critical.clear();
-        for n in g.node_ids() {
-            let qv = q.node_map[n.index()] as usize;
-            if soa.alap[qv] == soa.asap[qv] {
-                soa.critical.insert(n);
-            }
-        }
-        let deadline = walk.tet.max(len);
-        soa.fast.prepare(&soa.base, walk);
-        // `alap` holds ALAP at deadline `len`; the walk's deadline only
-        // shifts every slot by the same amount, folded into the query.
-        let mut prims = merit::FastPrims {
-            scratch: &mut soa.fast,
-            base: &soa.base,
-            node_map: &soa.quotient.node_map,
-            qlat: &soa.quotient.graph.lat,
-            asap: &soa.asap,
-            alap: &soa.alap,
-            extra: deadline - len,
-        };
-        merit::compute_merit_ops_core(
-            g,
-            walk,
-            &soa.critical,
-            constraints,
-            self.machine,
-            params,
-            reach,
-            &mut prims,
-        )
-    }
-
-    /// Schedule length of the round's graph with `members` frozen into one
-    /// ISE of the given footprint, memoised. Collapses the *shared
-    /// lowering* instead of `freeze`-ing the `ExGraph` and re-lowering:
-    /// `collapse_groups` builds the quotient purely from the edge
-    /// structure, and the frozen `ExOp`'s `sched_op(0)` equals `footprint`,
-    /// so both paths produce the same `SchedDfg` bit for bit.
-    pub fn candidate_len(&mut self, members: &NodeSet, footprint: SchedOp) -> u32 {
+    /// Memoised. Collapses the base arrays with the same quotient numbering
+    /// as `freeze`, recomputes heights only inside the group's fan-in cone,
+    /// and schedules with a counter-driven ready list whose decisions
+    /// replay the rescan list scheduler exactly.
+    fn candidate_len(&mut self, _g: &ExGraph, members: &NodeSet, footprint: SchedOp) -> u32 {
         let key = candidate_key(members, &footprint);
         if let Some(&len) = self.cand_memo.get(&key) {
-            self.hits += 1;
+            self.counters.hits += 1;
             return len;
         }
-        self.misses += 1;
-        let len = match self.soa.as_mut() {
-            Some(soa) => {
-                // Same quotient numbering as `collapse_groups`, heights
-                // recomputed only inside the group's fan-in cone, and a
-                // counter-driven scheduler whose decisions replay the
-                // rescan scheduler exactly.
-                soa.groups.clear();
-                soa.groups.push((members.clone(), footprint));
-                collapse_soa(&soa.base, &soa.groups, &mut soa.qscratch, &mut soa.quotient);
-                let st = height_incremental_into(
-                    &soa.quotient,
-                    &soa.bt,
-                    &soa.base.lat,
-                    &mut soa.height,
-                    &mut soa.needs,
-                );
-                self.incr_copied += st.copied;
-                self.incr_recomputed += st.recomputed;
-                schedule_len_counters(
-                    &soa.quotient.graph,
-                    self.machine,
-                    &soa.height,
-                    &mut soa.sched_scratch,
-                )
-            }
-            None => {
-                let collapsed = collapse_groups(&self.sched, &[(members.clone(), footprint)]);
-                list_schedule_len(
-                    &collapsed.dfg,
-                    self.machine,
-                    Priority::Height,
-                    &mut self.scratch,
-                )
-            }
-        };
+        self.counters.misses += 1;
+        self.groups.clear();
+        self.groups.push((members.clone(), footprint));
+        collapse_soa(
+            &self.base,
+            &self.groups,
+            &mut self.qscratch,
+            &mut self.quotient,
+        );
+        let st = height_incremental_into(
+            &self.quotient,
+            &self.bt,
+            &self.base.lat,
+            &mut self.height,
+            &mut self.needs,
+        );
+        self.counters.incr_copied += st.copied;
+        self.counters.incr_recomputed += st.recomputed;
+        let len = schedule_len_counters(
+            &self.quotient.graph,
+            &self.machine,
+            &self.height,
+            &mut self.sched_scratch,
+        );
         self.cand_memo.insert(key, len);
         len
+    }
+
+    /// One lowering of `g0` serves all k + 1 collapses: a frozen candidate
+    /// lowers to `SchedOp::new(latency, inputs, outputs, Asfu)`, and
+    /// `collapse_groups` builds the quotient from the edge structure alone,
+    /// so collapsing the lowering equals freezing and re-lowering.
+    fn leave_one_out(
+        g0: &ExGraph,
+        commits: &[IseCandidate],
+        machine: &MachineConfig,
+    ) -> (u32, Vec<u32>) {
+        let sched = exgraph::to_sched(g0);
+        let mut scratch = ListScratch::new();
+        let mut len_without = |skip: Option<usize>| {
+            let groups: Vec<(NodeSet, SchedOp)> = commits
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| Some(*i) != skip)
+                .map(|(_, c)| {
+                    (
+                        c.nodes.clone(),
+                        SchedOp::new(c.latency, c.inputs, c.outputs, UnitClass::Asfu),
+                    )
+                })
+                .collect();
+            let collapsed = collapse_groups(&sched, &groups);
+            list_schedule_len(&collapsed.dfg, machine, Priority::Height, &mut scratch)
+        };
+        let all = len_without(None);
+        let without = (0..commits.len()).map(|i| len_without(Some(i))).collect();
+        (all, without)
+    }
+
+    fn counters(&self) -> EvalCounters {
+        self.counters
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ant::{Ant, SpFunction};
     use crate::exgraph::ExKind;
-    use isex_dfg::{NodeId, Operand};
+    use crate::reference::Reference;
+    use isex_aco::PheromoneStore;
+    use isex_dfg::{CsrAdjacency, Operand};
     use isex_isa::{Opcode, Operation, ProgramDfg};
+    use rand::SeedableRng;
 
     fn chain() -> ExGraph {
         let mut dfg = ProgramDfg::new();
@@ -528,6 +497,22 @@ mod tests {
         exgraph::build(&dfg)
     }
 
+    fn round_pair(g: &ExGraph, m: &MachineConfig) -> (RoundEval, Reference) {
+        let len = exgraph::schedule_len(g, m);
+        (
+            RoundEval::for_round(g, m, len),
+            Reference::for_round(g, m, len),
+        )
+    }
+
+    fn set(g: &ExGraph, members: &[u32]) -> NodeSet {
+        let mut s = NodeSet::new(g.len());
+        for &n in members {
+            s.insert(NodeId::new(n));
+        }
+        s
+    }
+
     #[test]
     fn hasher_distributes_and_is_deterministic() {
         let hash = |words: &[u64]| {
@@ -546,68 +531,42 @@ mod tests {
     fn candidate_len_matches_freeze_path_and_hits_on_repeat() {
         let g = chain();
         let m = MachineConfig::preset_2issue_4r2w();
-        let mut eval = RoundEval::new(&g, &m, None, false);
-        assert_eq!(eval.base_len, exgraph::schedule_len(&g, &m));
-        let mut members = NodeSet::new(g.len());
-        members.insert(NodeId::new(0));
-        members.insert(NodeId::new(1));
+        let (mut eval, _) = round_pair(&g, &m);
+        let members = set(&g, &[0, 1]);
         let fp = SchedOp::new(1, 2, 1, UnitClass::Asfu);
-        let cached = eval.candidate_len(&members, fp);
+        let cached = eval.candidate_len(&g, &members, fp);
         let frozen = exgraph::freeze(&g, &members, fp, usize::MAX).dfg;
         assert_eq!(cached, exgraph::schedule_len(&frozen, &m));
-        assert_eq!((eval.hits, eval.misses), (0, 1));
-        assert_eq!(eval.candidate_len(&members, fp), cached);
-        assert_eq!((eval.hits, eval.misses), (1, 1));
+        assert_eq!((eval.counters.hits, eval.counters.misses), (0, 1));
+        assert_eq!(eval.candidate_len(&g, &members, fp), cached);
+        assert_eq!((eval.counters.hits, eval.counters.misses), (1, 1));
         // A different footprint on the same members is a different key.
         let slow = SchedOp::new(3, 2, 1, UnitClass::Asfu);
-        assert!(eval.candidate_len(&members, slow) >= cached);
-        assert_eq!((eval.hits, eval.misses), (1, 2));
+        assert!(eval.candidate_len(&g, &members, slow) >= cached);
+        assert_eq!((eval.counters.hits, eval.counters.misses), (1, 2));
     }
 
     #[test]
-    fn incremental_candidate_len_matches_legacy() {
+    fn candidate_len_matches_reference() {
         let g = chain();
         let m = MachineConfig::preset_2issue_4r2w();
-        let mut legacy = RoundEval::new(&g, &m, None, false);
-        let mut incr = RoundEval::new(&g, &m, None, true);
-        assert_eq!(legacy.base_len, incr.base_len);
+        let (mut eval, mut reference) = round_pair(&g, &m);
+        assert_eq!(eval.base_len(), reference.base_len());
         for (members, fp) in [
-            (
-                {
-                    let mut s = NodeSet::new(g.len());
-                    s.insert(NodeId::new(0));
-                    s.insert(NodeId::new(1));
-                    s
-                },
-                SchedOp::new(1, 2, 1, UnitClass::Asfu),
-            ),
-            (
-                {
-                    let mut s = NodeSet::new(g.len());
-                    s.insert(NodeId::new(1));
-                    s.insert(NodeId::new(2));
-                    s
-                },
-                SchedOp::new(3, 2, 1, UnitClass::Asfu),
-            ),
+            (set(&g, &[0, 1]), SchedOp::new(1, 2, 1, UnitClass::Asfu)),
+            (set(&g, &[1, 2]), SchedOp::new(3, 2, 1, UnitClass::Asfu)),
         ] {
             assert_eq!(
-                incr.candidate_len(&members, fp),
-                legacy.candidate_len(&members, fp),
-                "incremental path must replay the legacy length"
+                eval.candidate_len(&g, &members, fp),
+                reference.candidate_len(&g, &members, fp),
+                "the incremental path must replay the reference length"
             );
         }
-        assert!(incr.incr_copied + incr.incr_recomputed > 0);
+        assert!(eval.counters.incr_copied + eval.counters.incr_recomputed > 0);
     }
 
     #[test]
-    fn incremental_merit_ops_are_bit_identical_to_legacy() {
-        use crate::ant::Ant;
-        use crate::candidate::Constraints;
-        use isex_aco::PheromoneStore;
-        use isex_dfg::Reachability;
-        use rand::SeedableRng;
-
+    fn merit_ops_are_bit_identical_to_reference() {
         let g = chain();
         let m = MachineConfig::preset_2issue_4r2w();
         let cons = Constraints::from_machine(&m);
@@ -618,14 +577,14 @@ mod tests {
             .map(|(_, n)| (n.payload().sw_delays.len(), n.payload().hw.len()))
             .collect();
         let store = PheromoneStore::new(&shape, &params);
-        let mut legacy = RoundEval::new(&g, &m, None, false);
-        let mut incr = RoundEval::new(&g, &m, None, true);
-        let ant = Ant::new(&g, &m, &cons, 0.5);
+        let (mut eval, mut reference) = round_pair(&g, &m);
+        let csr = CsrAdjacency::from_dfg(&g);
+        let ant = Ant::new(&g, &m, &cons, 0.5, SpFunction::ChildCount, &csr);
         let mut rng = rand::rngs::StdRng::seed_from_u64(5);
         for _ in 0..20 {
             let walk = ant.run(&store, &mut rng);
-            let a = legacy.merit_ops(&g, &walk, &cons, &params, &reach);
-            let b = incr.merit_ops(&g, &walk, &cons, &params, &reach);
+            let a = reference.merit_ops(&g, &walk, &cons, &params, &reach);
+            let b = eval.merit_ops(&g, &walk, &cons, &params, &reach);
             assert_eq!(a.len(), b.len(), "op count");
             for (x, y) in a.iter().zip(b.iter()) {
                 assert_eq!(x.0, y.0);
@@ -639,7 +598,117 @@ mod tests {
                 );
             }
         }
-        assert_eq!(legacy.asap_saved, incr.asap_saved);
+        assert!(eval.counters.hits > 0, "20 walks over 3 ops must repeat");
+    }
+
+    /// An off-critical virtual subgraph whose slow option's ET lands
+    /// exactly on its `Max_AEC` window: the `<=` boundary of case 4, which
+    /// the benchmark workloads never reach.
+    #[test]
+    fn merit_ops_match_reference_on_the_max_aec_boundary() {
+        use crate::merit::{evaluate_option, virtual_subgraph};
+        use crate::reference;
+        use isex_sched::timing;
+
+        // Critical: and -> and (two cycles in software). Slack: add -> xor
+        // -> sll, one ISE of 9.29 ns with the fast add (one cycle), 11.21 ns
+        // with the slow one (two cycles = the window at deadline 2).
+        let mut dfg = ProgramDfg::new();
+        let (x, y) = (dfg.live_in(), dfg.live_in());
+        let m1 = dfg.add_node(
+            Operation::new(Opcode::And),
+            vec![Operand::LiveIn(x), Operand::LiveIn(y)],
+        );
+        let m2 = dfg.add_node(
+            Operation::new(Opcode::And),
+            vec![Operand::Node(m1), Operand::LiveIn(y)],
+        );
+        let add = dfg.add_node(
+            Operation::new(Opcode::Add),
+            vec![Operand::LiveIn(x), Operand::LiveIn(y)],
+        );
+        let xor = dfg.add_node(
+            Operation::new(Opcode::Xor),
+            vec![Operand::Node(add), Operand::LiveIn(x)],
+        );
+        let sll = dfg.add_node(
+            Operation::new(Opcode::Sll),
+            vec![Operand::Node(xor), Operand::Const(2)],
+        );
+        dfg.set_live_out(m2, true);
+        dfg.set_live_out(sll, true);
+        let g = exgraph::build(&dfg);
+        let m = MachineConfig::preset_2issue_6r3w();
+        let cons = Constraints::from_machine(&m);
+        let params = AcoParams::default();
+        let reach = Reachability::compute(&g);
+        let shape: Vec<(usize, usize)> = g
+            .iter()
+            .map(|(_, n)| (n.payload().sw_delays.len(), n.payload().hw.len()))
+            .collect();
+        let mut store = PheromoneStore::new(&shape, &params);
+        for n in 0..g.len() {
+            let hw = g.node(NodeId::new(n as u32)).payload().hw.len();
+            let software = n < 2;
+            store.set_merit(n, ImplChoice::Sw(0), if software { 1e9 } else { 1e-9 });
+            for j in 0..hw {
+                // The slack chain goes to hardware on its fastest option.
+                let pick = !software && j + 1 == hw;
+                store.set_merit(n, ImplChoice::Hw(j), if pick { 1e9 } else { 1e-9 });
+            }
+        }
+        let csr = CsrAdjacency::from_dfg(&g);
+        let ant = Ant::new(&g, &m, &cons, 0.5, SpFunction::ChildCount, &csr);
+        let walk = ant.run(&store, &mut rand::rngs::StdRng::seed_from_u64(1));
+        assert_eq!(walk.groups.len(), 1, "the slack chain packs into one ISE");
+
+        let analysis_ = reference::analyze(&g, &walk);
+        let vs = virtual_subgraph(&g, &walk, add);
+        assert_eq!(vs.len(), 3);
+        assert!(vs.iter().all(|v| !analysis_.critical.contains(v)));
+        let mut quotient = NodeSet::new(analysis_.collapsed.len());
+        for v in &vs {
+            quotient.insert(analysis_.node_map[v.index()]);
+        }
+        let window = timing::max_aec(&analysis_.collapsed, &quotient, analysis_.deadline);
+        let slow = evaluate_option(&g, &walk, &vs, add, 0, &m).et_cycles;
+        assert_eq!(slow, window, "the slow option must sit on the boundary");
+
+        let len = exgraph::schedule_len(&g, &m);
+        let mut eval = RoundEval::for_round(&g, &m, len);
+        let mut oracle = Reference::for_round(&g, &m, len);
+        let a = oracle.merit_ops(&g, &walk, &cons, &params, &reach);
+        let b = eval.merit_ops(&g, &walk, &cons, &params, &reach);
+        let bits = |ops: &[MeritOp]| -> Vec<(u32, ImplChoice, u64)> {
+            ops.iter().map(|&(n, c, f)| (n, c, f.to_bits())).collect()
+        };
+        assert_eq!(bits(&b), bits(&a));
+    }
+
+    #[test]
+    fn leave_one_out_matches_reference() {
+        let g = chain();
+        let m = MachineConfig::preset_2issue_4r2w();
+        let commit = |members: &[u32], latency: u32| IseCandidate {
+            nodes: set(&g, members),
+            choices: Vec::new(),
+            delay_ns: 0.0,
+            latency,
+            area_um2: 0.0,
+            inputs: 2,
+            outputs: 1,
+            saved_cycles: 0,
+        };
+        for commits in [
+            vec![],
+            vec![commit(&[0, 1], 1)],
+            vec![commit(&[0, 1], 1), commit(&[2], 2)],
+        ] {
+            assert_eq!(
+                RoundEval::leave_one_out(&g, &commits, &m),
+                Reference::leave_one_out(&g, &commits, &m)
+            );
+        }
     }
 
     #[test]

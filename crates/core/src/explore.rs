@@ -9,22 +9,22 @@
 //! ISE candidate(s), Make-Convex legalises them, and the best one is
 //! committed by collapsing it into the graph before the next round.
 
+use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use isex_aco::{AcoParams, ImplChoice, PheromoneStore};
 use isex_dfg::{analysis, convex, ports, CsrAdjacency, NodeId, NodeSet, Reachability};
 use isex_isa::{MachineConfig, ProgramDfg};
-use isex_sched::collapse::collapse_groups;
-use isex_sched::{list_schedule_len, ListScratch, Priority, SchedDfg, SchedOp, UnitClass};
+use isex_sched::{SchedOp, UnitClass};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::ant::{Ant, AntScratch};
+use crate::ant::{Ant, AntScratch, Walk};
 use crate::candidate::{Constraints, IseCandidate};
-use crate::evalcache::{EvalStats, RoundEval};
+use crate::evalcache::{EvalCounters, EvalStats, RoundEval};
 use crate::exgraph::{self, ExGraph, ExKind};
-use crate::merit;
+use crate::merit::{self, MeritOp};
 use crate::trail::{self, TrailState};
 
 /// Hard cap on exploration rounds per basic block (each committed ISE
@@ -37,6 +37,45 @@ const MAX_ROUNDS: usize = 32;
 fn debug_enabled() -> bool {
     static DEBUG: OnceLock<bool> = OnceLock::new();
     *DEBUG.get_or_init(|| std::env::var_os("ISEX_DEBUG").is_some())
+}
+
+/// The evaluations the round loop needs. Production implements it with
+/// [`RoundEval`]; tests and benches pin that against the plain reference
+/// (`crate::reference`), which answers every query from its definition.
+pub(crate) trait Evaluator: Sized {
+    /// Evaluation state of one round over `g`, whose schedule length with
+    /// no new ISE the loop carried in as `base_len`.
+    fn for_round(g: &ExGraph, machine: &MachineConfig, base_len: u32) -> Self;
+
+    /// Schedule length of the round's graph with no new ISE.
+    fn base_len(&self) -> u32;
+
+    /// The merit-op sequence of `walk` (Figs. 4.3.6–4.3.8).
+    fn merit_ops(
+        &mut self,
+        g: &ExGraph,
+        walk: &Walk,
+        constraints: &Constraints,
+        params: &AcoParams,
+        reach: &Reachability,
+    ) -> Rc<Vec<MeritOp>>;
+
+    /// Schedule length of the round's graph with `members` frozen into one
+    /// ISE of the given footprint.
+    fn candidate_len(&mut self, g: &ExGraph, members: &NodeSet, footprint: SchedOp) -> u32;
+
+    /// Schedule lengths of the original graph `g0` with every committed
+    /// candidate frozen in, and with each one left out in turn.
+    fn leave_one_out(
+        g0: &ExGraph,
+        commits: &[IseCandidate],
+        machine: &MachineConfig,
+    ) -> (u32, Vec<u32>);
+
+    /// Work counters of the round so far; the reference counts nothing.
+    fn counters(&self) -> EvalCounters {
+        EvalCounters::default()
+    }
 }
 
 /// One sampled point of an exploration trace: the walk TET observed at a
@@ -125,22 +164,9 @@ pub struct MultiIssueExplorer {
     /// The scheduling-priority function of Eq. 1 (default: child count,
     /// the paper's choice; Ch. 6 names the alternatives as future work).
     pub sp_function: crate::ant::SpFunction,
-    /// Whether the round-scoped hot-path evaluation layer (shared lowering
-    /// plus merit/candidate memoisation) is used. On by default; results
-    /// are bitwise identical either way — the switch exists for A/B
-    /// benchmarking and the equivalence regression tests.
-    pub eval_cache: bool,
-    /// Whether the eval-cache miss path runs on the incremental/SoA
-    /// timing kernels (persistent per-round ASAP/ALAP/height baselines,
-    /// arena quotients, counter-driven scheduling) instead of the
-    /// `Dfg`-walking quotient machinery. Only meaningful with
-    /// [`MultiIssueExplorer::eval_cache`] on; results are bitwise
-    /// identical either way — the switch exists for A/B benchmarking and
-    /// the equivalence regression tests.
-    pub incremental: bool,
-    /// Optional shared hit/miss counters for the evaluation cache (the
-    /// engine threads one [`EvalStats`] through all its explorers and
-    /// exports the totals via `RunMetrics.phase_profile`).
+    /// Optional shared work counters of the evaluation layer (the engine
+    /// threads one [`EvalStats`] through all its explorers and exports the
+    /// totals via `RunMetrics.phase_profile`).
     pub eval_stats: Option<Arc<EvalStats>>,
     /// Optional cooperative stop flag, checked between rounds. When it
     /// trips, the explorer returns the committed best-so-far candidates
@@ -158,8 +184,6 @@ impl MultiIssueExplorer {
             constraints,
             params: AcoParams::default(),
             sp_function: crate::ant::SpFunction::default(),
-            eval_cache: true,
-            incremental: true,
             eval_stats: None,
             stop: None,
         }
@@ -181,8 +205,6 @@ impl MultiIssueExplorer {
             constraints,
             params,
             sp_function: crate::ant::SpFunction::default(),
-            eval_cache: true,
-            incremental: true,
             eval_stats: None,
             stop: None,
         }
@@ -191,7 +213,7 @@ impl MultiIssueExplorer {
     /// Explores `dfg`, returning the committed candidates and the
     /// before/after schedule lengths. Deterministic for a given `rng` seed.
     pub fn explore<R: Rng + ?Sized>(&self, dfg: &ProgramDfg, rng: &mut R) -> Exploration {
-        self.explore_inner(dfg, rng, None)
+        self.explore_inner::<RoundEval, R>(dfg, rng, None)
     }
 
     /// Like [`MultiIssueExplorer::explore`], additionally recording the TET
@@ -202,40 +224,27 @@ impl MultiIssueExplorer {
         rng: &mut R,
     ) -> (Exploration, Vec<TraceEntry>) {
         let mut trace = Vec::new();
-        let exploration = self.explore_inner(dfg, rng, Some(&mut trace));
+        let exploration = self.explore_inner::<RoundEval, R>(dfg, rng, Some(&mut trace));
         (exploration, trace)
     }
 
-    fn explore_inner<R: Rng + ?Sized>(
+    pub(crate) fn explore_inner<E: Evaluator, R: Rng + ?Sized>(
         &self,
         dfg: &ProgramDfg,
         rng: &mut R,
         mut trace: Option<&mut Vec<TraceEntry>>,
     ) -> Exploration {
         let g0 = exgraph::build(dfg);
-        // With the hot-path layer on, the original graph is lowered once
-        // and the lowering shared between the baseline measurement and the
-        // leave-one-out sweep at the end.
-        let mut loo_scratch = ListScratch::new();
-        let g0_sched = self.eval_cache.then(|| exgraph::to_sched(&g0));
-        let baseline = match &g0_sched {
-            Some(s) => list_schedule_len(s, &self.machine, Priority::Height, &mut loo_scratch),
-            None => exgraph::schedule_len(&g0, &self.machine),
-        };
+        let baseline = exgraph::schedule_len(&g0, &self.machine);
         let mut current = g0.clone();
         let mut commits: Vec<IseCandidate> = Vec::new();
         let mut iterations = 0usize;
         let mut rounds = 0usize;
         // Schedule length of `current`, carried across rounds: the
         // baseline before any commit, then the committed candidate's
-        // measured `with_len` — the same value the legacy path recomputed
-        // from scratch at the top of every round.
+        // measured `with_len` (the reference re-measures and asserts it).
         let mut known_len = baseline;
-        let mut cache_hits = 0u64;
-        let mut cache_misses = 0u64;
-        let mut asap_saved = 0u64;
-        let mut incr_copied = 0u64;
-        let mut incr_recomputed = 0u64;
+        let mut counters = EvalCounters::default();
 
         let round_cap = match self.params.max_rounds {
             0 => MAX_ROUNDS,
@@ -261,21 +270,16 @@ impl MultiIssueExplorer {
                 quiescent = true;
                 break;
             }
-            let out = self.round(
+            let out = self.round::<E, R>(
                 &current,
                 rng,
                 &mut iterations,
                 rounds,
                 trace.as_deref_mut(),
-                self.eval_cache.then_some(known_len),
+                known_len,
             );
-            cache_hits += out.cache_hits;
-            cache_misses += out.cache_misses;
-            asap_saved += out.asap_saved;
-            incr_copied += out.incr_copied;
-            incr_recomputed += out.incr_recomputed;
+            counters.absorb(out.counters);
             let base_len = out.base_len;
-            known_len = base_len;
             // A candidate with zero *immediate* saving may still be half of
             // a jointly-improving set (two balanced chains must both be
             // packed before the schedule drops). Commit it anyway when the
@@ -343,39 +347,20 @@ impl MultiIssueExplorer {
             degraded = true;
         }
 
-        let final_len = if self.eval_cache {
-            debug_assert_eq!(known_len, exgraph::schedule_len(&current, &self.machine));
-            known_len
-        } else {
-            exgraph::schedule_len(&current, &self.machine)
-        };
         // Leave-one-out gain attribution: a candidate's value is how much
         // the schedule degrades without it (jointly-necessary candidates
         // each carry the joint gain, which is what selection should see).
-        // With the shared lowering this is one `to_sched` (already done)
-        // plus k+1 quotient collapses instead of k+1 full freeze+re-lower
-        // pipelines.
-        let all_len = match &g0_sched {
-            Some(s) => schedule_with_lowered(s, &commits, None, &self.machine, &mut loo_scratch),
-            None => schedule_with(&g0, &commits, None, &self.machine),
-        };
-        for i in 0..commits.len() {
-            let without = match &g0_sched {
-                Some(s) => {
-                    schedule_with_lowered(s, &commits, Some(i), &self.machine, &mut loo_scratch)
-                }
-                None => schedule_with(&g0, &commits, Some(i), &self.machine),
-            };
-            commits[i].saved_cycles = without.saturating_sub(all_len);
+        let (all_len, without) = E::leave_one_out(&g0, &commits, &self.machine);
+        for (c, without) in commits.iter_mut().zip(without) {
+            c.saved_cycles = without.saturating_sub(all_len);
         }
         if let Some(stats) = &self.eval_stats {
-            stats.add(cache_hits, cache_misses);
-            stats.add_timing(asap_saved, incr_copied, incr_recomputed);
+            stats.add(&counters);
         }
         Exploration {
             candidates: commits,
             baseline_cycles: baseline,
-            cycles_with_ises: final_len,
+            cycles_with_ises: known_len,
             rounds,
             iterations,
             degraded,
@@ -383,23 +368,16 @@ impl MultiIssueExplorer {
     }
 
     /// One exploration round: ACO to convergence, extraction, evaluation.
-    ///
-    /// When [`MultiIssueExplorer::eval_cache`] is on, a [`RoundEval`]
-    /// lowers the graph once, shares that lowering with the SP function,
-    /// the merit analysis and candidate ranking, and memoises repeated
-    /// walks and candidates; `known_len` (the schedule length carried from
-    /// the previous round's commit) then replaces the round's base-length
-    /// re-schedule. When off, every evaluation runs the legacy
-    /// freeze-and-re-lower path.
-    #[allow(clippy::too_many_arguments)]
-    fn round<R: Rng + ?Sized>(
+    /// `known_len` is the schedule length of `g`, carried from the previous
+    /// round's commit.
+    fn round<E: Evaluator, R: Rng + ?Sized>(
         &self,
         g: &ExGraph,
         rng: &mut R,
         iterations: &mut usize,
         round_no: usize,
         mut trace: Option<&mut Vec<TraceEntry>>,
-        known_len: Option<u32>,
+        known_len: u32,
     ) -> RoundOutcome {
         let _round_span = isex_trace::span_with("aco.round", || {
             vec![
@@ -413,31 +391,16 @@ impl MultiIssueExplorer {
             .map(|(_, n)| (n.payload().sw_delays.len(), n.payload().hw.len()))
             .collect();
         let mut store = PheromoneStore::new(&shape, &self.params);
-        let mut eval = self
-            .eval_cache
-            .then(|| RoundEval::new(g, &self.machine, known_len, self.incremental));
-        // Frozen adjacency for the ant's hot loops, active only on the
-        // incremental path (the legacy paths keep their historical cost
-        // model for A/B benchmarking).
-        let csr = (self.eval_cache && self.incremental).then(|| CsrAdjacency::from_dfg(g));
-        let ant = match &eval {
-            Some(ev) => Ant::with_sp_on(
-                g,
-                &self.machine,
-                &self.constraints,
-                self.params.lambda,
-                self.sp_function,
-                &ev.sched,
-                csr.as_ref(),
-            ),
-            None => Ant::with_sp(
-                g,
-                &self.machine,
-                &self.constraints,
-                self.params.lambda,
-                self.sp_function,
-            ),
-        };
+        let mut eval = E::for_round(g, &self.machine, known_len);
+        let csr = CsrAdjacency::from_dfg(g);
+        let ant = Ant::new(
+            g,
+            &self.machine,
+            &self.constraints,
+            self.params.lambda,
+            self.sp_function,
+            &csr,
+        );
         let mut ant_scratch = AntScratch::default();
         let mut tstate = TrailState::default();
 
@@ -445,7 +408,7 @@ impl MultiIssueExplorer {
         // walk (smallest TET, then smallest ASFU area). Waiting for formal
         // `P_END` convergence is unnecessary — and on noisy schedules the
         // trail dynamics of Fig. 4.3.5 may hover without converging.
-        let mut best: Option<(crate::ant::Walk, f64)> = None;
+        let mut best: Option<(Walk, f64)> = None;
         for it in 0..self.params.max_iterations {
             let walk = {
                 let _s = isex_trace::span("aco.construct");
@@ -469,25 +432,8 @@ impl MultiIssueExplorer {
             }
             {
                 let _s = isex_trace::span("aco.merit");
-                match &mut eval {
-                    Some(ev) => {
-                        let ops = ev.merit_ops(g, &walk, &self.constraints, &self.params, &reach);
-                        merit::apply_merit_ops(&mut store, &ops);
-                    }
-                    None => {
-                        let analysis_ = merit::analyze(g, &walk, &self.machine);
-                        merit::update_merits(
-                            &mut store,
-                            g,
-                            &walk,
-                            &analysis_,
-                            &self.constraints,
-                            &self.machine,
-                            &self.params,
-                            &reach,
-                        );
-                    }
-                }
+                let ops = eval.merit_ops(g, &walk, &self.constraints, &self.params, &reach);
+                merit::apply_merit_ops(&mut store, &ops);
             }
             let area = walk_area(g, &walk);
             let better = match &best {
@@ -521,20 +467,11 @@ impl MultiIssueExplorer {
         }
         let _extract_span = isex_trace::span("aco.extract");
         let cands = extract_candidates(g, &taken, &self.constraints, &self.machine, &reach);
-        let base_len = match &eval {
-            Some(ev) => ev.base_len,
-            None => exgraph::schedule_len(g, &self.machine),
-        };
+        let base_len = eval.base_len();
         let mut ranked: Vec<(CurCandidate, u32, u32)> = cands
             .into_iter()
             .map(|c| {
-                let with_len = match &mut eval {
-                    Some(ev) => ev.candidate_len(&c.members, c.footprint()),
-                    None => {
-                        let frozen = exgraph::freeze(g, &c.members, c.footprint(), usize::MAX).dfg;
-                        exgraph::schedule_len(&frozen, &self.machine)
-                    }
-                };
+                let with_len = eval.candidate_len(g, &c.members, c.footprint());
                 let saved = base_len.saturating_sub(with_len);
                 (c, saved, with_len)
             })
@@ -545,19 +482,12 @@ impl MultiIssueExplorer {
                 .then(b.0.members.len().cmp(&a.0.members.len()))
         });
         if debug_enabled() {
-            let owned;
-            let sched: &SchedDfg = match &eval {
-                Some(ev) => &ev.sched,
-                None => {
-                    owned = exgraph::to_sched(g);
-                    &owned
-                }
-            };
-            let crit = isex_sched::timing::critical_nodes(sched);
+            let sched = exgraph::to_sched(g);
+            let crit = isex_sched::timing::critical_nodes(&sched);
             eprintln!(
                 "[round] base_len={} dep_len={} best_tet={}",
                 base_len,
-                isex_sched::timing::dep_length(sched),
+                isex_sched::timing::dep_length(&sched),
                 best.as_ref().map(|(w, _)| w.tet).unwrap_or(0),
             );
             for (c, s, _) in ranked.iter().take(4) {
@@ -572,23 +502,11 @@ impl MultiIssueExplorer {
             }
         }
         let best_tet = best.as_ref().map(|(w, _)| w.tet).unwrap_or(u32::MAX);
-        let (cache_hits, cache_misses) = eval
-            .as_ref()
-            .map(|ev| (ev.hits, ev.misses))
-            .unwrap_or((0, 0));
-        let (asap_saved, incr_copied, incr_recomputed) = eval
-            .as_ref()
-            .map(|ev| (ev.asap_saved, ev.incr_copied, ev.incr_recomputed))
-            .unwrap_or((0, 0, 0));
         RoundOutcome {
             ranked,
             best_tet,
             base_len,
-            cache_hits,
-            cache_misses,
-            asap_saved,
-            incr_copied,
-            incr_recomputed,
+            counters: eval.counters(),
         }
     }
 }
@@ -602,86 +520,19 @@ struct RoundOutcome {
     best_tet: u32,
     /// Schedule length of the round's graph with no new ISE.
     base_len: u32,
-    /// Evaluation-cache hits this round (0 when the cache is disabled).
-    cache_hits: u64,
-    /// Evaluation-cache misses this round (0 when the cache is disabled).
-    cache_misses: u64,
-    /// Full ASAP passes avoided this round by shared-ASAP ALAP derivation.
-    asap_saved: u64,
-    /// Incremental-timing vertices copied from the round baseline.
-    incr_copied: u64,
-    /// Incremental-timing vertices recomputed inside dirty cones.
-    incr_recomputed: u64,
+    /// The round's evaluation work counters (memo hits and misses, timing
+    /// vertices copied and recomputed).
+    counters: EvalCounters,
 }
 
 /// Total ASFU silicon area implied by a walk's hardware choices.
-pub(crate) fn walk_area(g: &ExGraph, walk: &crate::ant::Walk) -> f64 {
+pub(crate) fn walk_area(g: &ExGraph, walk: &Walk) -> f64 {
     g.iter()
         .map(|(id, n)| match walk.choice[id.index()] {
             ImplChoice::Hw(j) => n.payload().hw[j].area_um2,
             ImplChoice::Sw(_) => 0.0,
         })
         .sum()
-}
-
-/// Schedule length of the original graph with the given committed
-/// candidates frozen in (optionally skipping one) — used for leave-one-out
-/// gain attribution.
-pub(crate) fn schedule_with(
-    g0: &ExGraph,
-    commits: &[IseCandidate],
-    skip: Option<usize>,
-    machine: &MachineConfig,
-) -> u32 {
-    let groups: Vec<(NodeSet, crate::exgraph::ExOp)> = commits
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| Some(*i) != skip)
-        .map(|(i, c)| {
-            (
-                c.nodes.clone(),
-                crate::exgraph::ExOp {
-                    sw_delays: vec![c.latency],
-                    hw: Vec::new(),
-                    reads: c.inputs,
-                    writes: c.outputs,
-                    class: isex_sched::UnitClass::Asfu,
-                    kind: ExKind::FrozenIse(i),
-                },
-            )
-        })
-        .collect();
-    let collapsed = isex_sched::collapse::collapse_groups(g0, &groups);
-    exgraph::schedule_len(&collapsed.dfg, machine)
-}
-
-/// [`schedule_with`] on a pre-lowered graph: collapses the committed
-/// candidates directly on the shared `SchedDfg` instead of freezing the
-/// `ExGraph` and re-lowering. A frozen candidate lowers to
-/// `SchedOp::new(latency, inputs, outputs, Asfu)`, and `collapse_groups`
-/// builds the quotient graph payload-independently, so the result is
-/// bitwise identical to the legacy path while the k leave-one-out
-/// evaluations reuse one lowering and one scheduler scratch.
-pub(crate) fn schedule_with_lowered(
-    g0_sched: &SchedDfg,
-    commits: &[IseCandidate],
-    skip: Option<usize>,
-    machine: &MachineConfig,
-    scratch: &mut ListScratch,
-) -> u32 {
-    let groups: Vec<(NodeSet, SchedOp)> = commits
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| Some(*i) != skip)
-        .map(|(_, c)| {
-            (
-                c.nodes.clone(),
-                SchedOp::new(c.latency, c.inputs, c.outputs, UnitClass::Asfu),
-            )
-        })
-        .collect();
-    let collapsed = collapse_groups(g0_sched, &groups);
-    list_schedule_len(&collapsed.dfg, machine, Priority::Height, scratch)
 }
 
 /// Extracts legal ISE candidates from the converged option assignment:

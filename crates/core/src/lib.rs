@@ -56,6 +56,8 @@ mod candidate;
 mod evalcache;
 mod exgraph;
 mod merit;
+#[cfg(any(test, feature = "reference"))]
+mod reference;
 mod trail;
 
 pub mod baseline;

@@ -53,16 +53,6 @@ pub struct ExploreSpec {
     /// Worker threads; `0` = one per available core. Results are identical
     /// for every value — only wall time changes.
     pub jobs: usize,
-    /// Round-scoped hot-path evaluation cache (one-shot lowering plus
-    /// walk/candidate memoisation). Results are bitwise identical either
-    /// way — only wall time changes; `false` forces the legacy
-    /// re-lowering paths (benchmarks and regression pins).
-    pub eval_cache: bool,
-    /// Incremental/SoA hot-loop evaluation (persistent per-round timing
-    /// baselines, arena quotients, counter-driven scheduling) on the
-    /// eval-cache miss path. Results are bitwise identical either way;
-    /// only meaningful when [`ExploreSpec::eval_cache`] is on.
-    pub incremental: bool,
     /// Deterministic fault injection (tests and resilience drills only).
     /// `None` in production; see [`FaultPlan`].
     pub fault_plan: Option<FaultPlan>,
@@ -128,8 +118,8 @@ pub struct EngineOutcome {
     pub workers: usize,
     /// Exploration wall time, milliseconds.
     pub explore_ms: f64,
-    /// Hot-path evaluation-cache hits summed over all jobs (0 when
-    /// [`ExploreSpec::eval_cache`] is off or the SI algorithm ran).
+    /// Hot-path evaluation-cache hits summed over all jobs (0 when the SI
+    /// algorithm ran).
     pub eval_cache_hits: u64,
     /// Hot-path evaluation-cache misses summed over all jobs.
     pub eval_cache_misses: u64,
@@ -405,8 +395,6 @@ impl Engine {
                     self.spec.constraints,
                     self.spec.params,
                 );
-                explorer.eval_cache = self.spec.eval_cache;
-                explorer.incremental = self.spec.incremental;
                 explorer.eval_stats = Some(Arc::clone(eval_stats));
                 // The anytime hook: a token tripping mid-job stops the
                 // round loop at the next boundary, and the job returns its

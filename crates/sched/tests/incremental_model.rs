@@ -13,17 +13,20 @@ use isex_sched::soa::{
 use isex_sched::{SchedDfg, SchedOp, UnitClass};
 use proptest::prelude::*;
 
-/// One node: latency, predecessor pick mask over earlier nodes, live-out.
+/// One node: latency, predecessor pick mask over the preceding 64 nodes,
+/// live-out.
 type NodeSpec = (u32, u64, bool);
 
+/// Up to 160 nodes, so node sets and timing vectors span up to three
+/// 64-bit words and dependence chains cross word boundaries.
 fn arb_dag() -> impl Strategy<Value = Vec<NodeSpec>> {
-    prop::collection::vec((1u32..4, any::<u64>(), any::<bool>()), 2..40)
+    prop::collection::vec((1u32..4, any::<u64>(), any::<bool>()), 2..160)
 }
 
 /// Per-node replacement latencies (`None` keeps the base latency) — the
 /// shape of a walk's software-option patch.
 fn arb_patch() -> impl Strategy<Value = Vec<Option<u32>>> {
-    prop::collection::vec(prop::option::of(1u32..6), 0..40)
+    prop::collection::vec(prop::option::of(1u32..6), 0..160)
 }
 
 /// Interval picks that become disjoint contiguous index ranges (contiguous
@@ -36,7 +39,7 @@ fn build(spec: &[NodeSpec]) -> SchedDfg {
     let mut g = SchedDfg::new();
     let x = g.live_in();
     for (i, &(lat, mask, live)) in spec.iter().enumerate() {
-        let mut operands: Vec<Operand> = (0..i)
+        let mut operands: Vec<Operand> = (i.saturating_sub(64)..i)
             .filter(|p| mask >> (p % 64) & 1 == 1)
             .take(3)
             .map(|p| Operand::Node(NodeId::new(p as u32)))
