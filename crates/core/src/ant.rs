@@ -17,6 +17,7 @@ use rand::Rng;
 
 use crate::candidate::Constraints;
 use crate::exgraph::ExGraph;
+use crate::grow::distinct_live_ins;
 
 /// An in-flight ISE group formed during one walk.
 #[derive(Clone, Debug)]
@@ -297,15 +298,16 @@ impl<'a> Ant<'a> {
             }
         }
 
-        // New singleton group.
-        let demand = {
-            let mut s = NodeSet::new(self.g.len());
-            s.insert(n);
-            ports::demand(self.g, &s)
-        };
-        let delay = self.g.node(n).payload().hw[j].delay_ns;
+        // New singleton group. `{n}`'s demand: every distinct producer and
+        // live-in is an input, and `n` is an output when its value is live
+        // out or consumed at all.
+        let node = self.g.node(n);
+        let ni = n.index();
+        let reads = self.adj.preds(ni).len() + distinct_live_ins(node.operands());
+        let writes = usize::from(node.is_live_out() || !self.adj.succs(ni).is_empty());
+        let delay = node.payload().hw[j].delay_ns;
         let latency = self.machine.cycles_for_delay_ns(delay);
-        let op = SchedOp::new(latency, demand.inputs, demand.outputs, UnitClass::Asfu);
+        let op = SchedOp::new(latency, reads, writes, UnitClass::Asfu);
         let est = self.earliest_start(walk, n);
         let cycle = rt
             .earliest_fit(est, &op)
@@ -319,8 +321,8 @@ impl<'a> Ant<'a> {
             issue: cycle,
             delay_ns: delay,
             latency,
-            reads: demand.inputs,
-            writes: demand.outputs,
+            reads,
+            writes,
             open: true,
         });
         walk.group_of[n.index()] = Some(gi);

@@ -16,7 +16,7 @@
 //! processor).
 
 use isex_aco::{roulette, AcoParams, ImplChoice, PheromoneStore};
-use isex_dfg::{analysis, convex, ports, NodeSet, Reachability};
+use isex_dfg::{analysis, convex, ports, CsrAdjacency, NodeSet, Reachability};
 use isex_isa::{MachineConfig, ProgramDfg};
 use rand::Rng;
 
@@ -206,7 +206,9 @@ impl SingleIssueExplorer {
             Some((walk, _)) => walk.choice.clone(),
             None => (0..g.len()).map(|n| store.best_option(n).0).collect(),
         };
-        let mut cands = extract_candidates(g, &taken, &self.constraints, &self.machine, &reach);
+        let csr = CsrAdjacency::from_dfg(g);
+        let mut cands =
+            extract_candidates(g, &csr, &taken, &self.constraints, &self.machine, &reach);
         // Serial saving: size (1 cycle per op on a single-issue core) minus
         // the ISE latency.
         cands.retain(|c| c.members.len() as i64 - c.latency as i64 > 0);

@@ -31,7 +31,7 @@ use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use isex_aco::{AcoParams, ImplChoice};
-use isex_dfg::{NodeId, NodeSet, Reachability};
+use isex_dfg::{CsrAdjacency, NodeId, NodeSet, Reachability};
 use isex_isa::MachineConfig;
 use isex_sched::collapse::collapse_groups;
 use isex_sched::soa::{
@@ -45,6 +45,7 @@ use crate::ant::Walk;
 use crate::candidate::{Constraints, IseCandidate};
 use crate::exgraph::{self, ExGraph};
 use crate::explore::Evaluator;
+use crate::grow::LegalGrower;
 use crate::merit::{self, MeritOp};
 
 /// An FxHash-style multiply-rotate hasher, vendored like PR 1's dependency
@@ -244,6 +245,7 @@ pub(crate) struct RoundEval {
     critical: NodeSet,
     sched_scratch: CounterSchedScratch,
     fast: merit::FastMeritScratch,
+    grower: LegalGrower,
 }
 
 impl RoundEval {
@@ -256,6 +258,7 @@ impl RoundEval {
     fn merit_ops_miss(
         &mut self,
         g: &ExGraph,
+        adj: &CsrAdjacency,
         walk: &Walk,
         constraints: &Constraints,
         params: &AcoParams,
@@ -313,6 +316,7 @@ impl RoundEval {
         let mut prims = merit::FastPrims {
             scratch: &mut self.fast,
             base: &self.base,
+            adj,
             node_map: &self.quotient.node_map,
             qlat: &self.quotient.graph.lat,
             asap: &self.asap,
@@ -328,6 +332,7 @@ impl RoundEval {
             params,
             reach,
             &mut prims,
+            &mut self.grower,
         )
     }
 }
@@ -359,6 +364,7 @@ impl Evaluator for RoundEval {
             critical: NodeSet::new(g.len()),
             sched_scratch: CounterSchedScratch::default(),
             fast: merit::FastMeritScratch::default(),
+            grower: LegalGrower::default(),
         }
     }
 
@@ -374,6 +380,7 @@ impl Evaluator for RoundEval {
     fn merit_ops(
         &mut self,
         g: &ExGraph,
+        adj: &CsrAdjacency,
         walk: &Walk,
         constraints: &Constraints,
         params: &AcoParams,
@@ -388,7 +395,7 @@ impl Evaluator for RoundEval {
         // Deriving ALAP from the ASAP in hand, and the walk deadline by a
         // uniform shift, avoids two full forward passes per miss.
         self.counters.asap_saved += 2;
-        let ops = Rc::new(self.merit_ops_miss(g, walk, constraints, params, reach));
+        let ops = Rc::new(self.merit_ops_miss(g, adj, walk, constraints, params, reach));
         self.merit_memo.insert(key, Rc::clone(&ops));
         ops
     }
@@ -583,8 +590,8 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(5);
         for _ in 0..20 {
             let walk = ant.run(&store, &mut rng);
-            let a = reference.merit_ops(&g, &walk, &cons, &params, &reach);
-            let b = eval.merit_ops(&g, &walk, &cons, &params, &reach);
+            let a = reference.merit_ops(&g, &csr, &walk, &cons, &params, &reach);
+            let b = eval.merit_ops(&g, &csr, &walk, &cons, &params, &reach);
             assert_eq!(a.len(), b.len(), "op count");
             for (x, y) in a.iter().zip(b.iter()) {
                 assert_eq!(x.0, y.0);
@@ -677,8 +684,84 @@ mod tests {
         let len = exgraph::schedule_len(&g, &m);
         let mut eval = RoundEval::for_round(&g, &m, len);
         let mut oracle = Reference::for_round(&g, &m, len);
-        let a = oracle.merit_ops(&g, &walk, &cons, &params, &reach);
-        let b = eval.merit_ops(&g, &walk, &cons, &params, &reach);
+        let a = oracle.merit_ops(&g, &csr, &walk, &cons, &params, &reach);
+        let b = eval.merit_ops(&g, &csr, &walk, &cons, &params, &reach);
+        let bits = |ops: &[MeritOp]| -> Vec<(u32, ImplChoice, u64)> {
+            ops.iter().map(|&(n, c, f)| (n, c, f.to_bits())).collect()
+        };
+        assert_eq!(bits(&b), bits(&a));
+    }
+
+    /// One illegal hardware component of seven members: every member
+    /// shares the component's cached `(io_ok, convex_ok)` pair, and case 3
+    /// grows a legal sub-blob from each of them.
+    #[test]
+    fn merit_ops_match_reference_on_a_shared_illegal_component() {
+        use crate::merit::virtual_subgraph;
+        use crate::reference::grow_legal_from;
+        use isex_dfg::ports;
+
+        // Four adds over eight live-ins feed an or-tree: eight inputs.
+        let mut dfg = ProgramDfg::new();
+        let li: Vec<_> = (0..8).map(|_| dfg.live_in()).collect();
+        let adds: Vec<_> = (0..4)
+            .map(|i| {
+                dfg.add_node(
+                    Operation::new(Opcode::Add),
+                    vec![Operand::LiveIn(li[2 * i]), Operand::LiveIn(li[2 * i + 1])],
+                )
+            })
+            .collect();
+        let o1 = dfg.add_node(
+            Operation::new(Opcode::Or),
+            vec![Operand::Node(adds[0]), Operand::Node(adds[1])],
+        );
+        let o2 = dfg.add_node(
+            Operation::new(Opcode::Or),
+            vec![Operand::Node(adds[2]), Operand::Node(adds[3])],
+        );
+        let top = dfg.add_node(
+            Operation::new(Opcode::Xor),
+            vec![Operand::Node(o1), Operand::Node(o2)],
+        );
+        dfg.set_live_out(top, true);
+        let g = exgraph::build(&dfg);
+        let m = MachineConfig::preset_2issue_4r2w();
+        let cons = Constraints::from_machine(&m);
+        let params = AcoParams::default();
+        let reach = Reachability::compute(&g);
+        let shape: Vec<(usize, usize)> = g
+            .iter()
+            .map(|(_, n)| (n.payload().sw_delays.len(), n.payload().hw.len()))
+            .collect();
+        let mut store = PheromoneStore::new(&shape, &params);
+        for n in 0..g.len() {
+            store.set_merit(n, ImplChoice::Sw(0), 1e-9);
+            for j in 0..g.node(NodeId::new(n as u32)).payload().hw.len() {
+                store.set_merit(n, ImplChoice::Hw(j), 1e9);
+            }
+        }
+        let csr = CsrAdjacency::from_dfg(&g);
+        let ant = Ant::new(&g, &m, &cons, 0.5, SpFunction::ChildCount, &csr);
+        let walk = ant.run(&store, &mut rand::rngs::StdRng::seed_from_u64(3));
+
+        let comp = virtual_subgraph(&g, &walk, top);
+        assert_eq!(comp.len(), 7, "every node chose hardware");
+        assert!(!ports::demand(&g, &comp).fits(cons.n_in, cons.n_out));
+        let mut grown_seeds = 0;
+        for x in &comp {
+            assert_eq!(virtual_subgraph(&g, &walk, x), comp, "vS_x = comp(x)");
+            if grow_legal_from(&g, x, &comp, &cons, &reach).len() >= 2 {
+                grown_seeds += 1;
+            }
+        }
+        assert!(grown_seeds >= 3, "case 4 must run on several grown pieces");
+
+        let len = exgraph::schedule_len(&g, &m);
+        let mut eval = RoundEval::for_round(&g, &m, len);
+        let mut oracle = Reference::for_round(&g, &m, len);
+        let a = oracle.merit_ops(&g, &csr, &walk, &cons, &params, &reach);
+        let b = eval.merit_ops(&g, &csr, &walk, &cons, &params, &reach);
         let bits = |ops: &[MeritOp]| -> Vec<(u32, ImplChoice, u64)> {
             ops.iter().map(|&(n, c, f)| (n, c, f.to_bits())).collect()
         };

@@ -24,6 +24,7 @@ use crate::ant::{Ant, AntScratch, Walk};
 use crate::candidate::{Constraints, IseCandidate};
 use crate::evalcache::{EvalCounters, EvalStats, RoundEval};
 use crate::exgraph::{self, ExGraph, ExKind};
+use crate::grow::LegalGrower;
 use crate::merit::{self, MeritOp};
 use crate::trail::{self, TrailState};
 
@@ -50,10 +51,12 @@ pub(crate) trait Evaluator: Sized {
     /// Schedule length of the round's graph with no new ISE.
     fn base_len(&self) -> u32;
 
-    /// The merit-op sequence of `walk` (Figs. 4.3.6–4.3.8).
+    /// The merit-op sequence of `walk` (Figs. 4.3.6–4.3.8); `adj` is the
+    /// round's frozen adjacency of `g`.
     fn merit_ops(
         &mut self,
         g: &ExGraph,
+        adj: &CsrAdjacency,
         walk: &Walk,
         constraints: &Constraints,
         params: &AcoParams,
@@ -432,7 +435,7 @@ impl MultiIssueExplorer {
             }
             {
                 let _s = isex_trace::span("aco.merit");
-                let ops = eval.merit_ops(g, &walk, &self.constraints, &self.params, &reach);
+                let ops = eval.merit_ops(g, &csr, &walk, &self.constraints, &self.params, &reach);
                 merit::apply_merit_ops(&mut store, &ops);
             }
             let area = walk_area(g, &walk);
@@ -466,7 +469,7 @@ impl MultiIssueExplorer {
             );
         }
         let _extract_span = isex_trace::span("aco.extract");
-        let cands = extract_candidates(g, &taken, &self.constraints, &self.machine, &reach);
+        let cands = extract_candidates(g, &csr, &taken, &self.constraints, &self.machine, &reach);
         let base_len = eval.base_len();
         let mut ranked: Vec<(CurCandidate, u32, u32)> = cands
             .into_iter()
@@ -540,6 +543,7 @@ pub(crate) fn walk_area(g: &ExGraph, walk: &Walk) -> f64 {
 /// and port trimming, size ≥ 2.
 pub(crate) fn extract_candidates(
     g: &ExGraph,
+    adj: &CsrAdjacency,
     taken: &[ImplChoice],
     constraints: &Constraints,
     machine: &MachineConfig,
@@ -555,7 +559,7 @@ pub(crate) fn extract_candidates(
     let mut out = Vec::new();
     for comp in analysis::components_within(g, &hw) {
         for piece in convex::make_convex(g, &comp, reach) {
-            for legal in enforce_ports(g, piece, constraints, reach) {
+            for legal in enforce_ports(g, adj, piece, constraints, reach) {
                 if legal.len() >= 2 {
                     out.push(materialize(g, &legal, taken, machine));
                 }
@@ -571,18 +575,20 @@ pub(crate) fn extract_candidates(
 /// A piece that already fits is kept whole. An oversized piece is covered
 /// by *greedily grown* maximal legal sub-pieces: starting from the piece's
 /// earliest member, neighbours are absorbed while the union stays convex
-/// and within the port budget (preferring absorptions that minimise the
-/// input count — internalising values is what shrinks `IN(S)`). The
+/// and within the port budget (preferring absorptions that minimise
+/// `IN + OUT` — internalising values is what shrinks `IN(S)`). The
 /// remainder is processed the same way, so long dependence chains shatter
 /// into few large chunks instead of many two-op crumbs.
 pub(crate) fn enforce_ports(
     g: &ExGraph,
+    adj: &CsrAdjacency,
     piece: NodeSet,
     constraints: &Constraints,
     reach: &Reachability,
 ) -> Vec<NodeSet> {
     let mut work = vec![piece];
     let mut out = Vec::new();
+    let mut grower = LegalGrower::default();
     while let Some(s) = work.pop() {
         if s.len() < 2 {
             continue;
@@ -593,7 +599,7 @@ pub(crate) fn enforce_ports(
             continue;
         }
         let grown = match s.first() {
-            Some(seed) => grow_legal_from(g, seed, &s, constraints, reach),
+            Some(seed) => grower.grow(g, adj, reach, constraints, seed, &s).clone(),
             None => continue,
         };
         let mut rest = s;
@@ -612,50 +618,6 @@ pub(crate) fn enforce_ports(
         }
     }
     out
-}
-
-/// Grows a maximal legal (convex, port-feasible) sub-piece of `allowed`
-/// starting from `seed`, preferring absorptions that minimise port demand.
-pub(crate) fn grow_legal_from(
-    g: &ExGraph,
-    seed: NodeId,
-    s: &NodeSet,
-    constraints: &Constraints,
-    reach: &Reachability,
-) -> NodeSet {
-    let mut grown = NodeSet::new(g.len());
-    grown.insert(seed);
-    loop {
-        // Frontier: members of s adjacent to the grown set.
-        let mut best: Option<(usize, usize, NodeId)> = None;
-        for m in &grown.clone() {
-            for v in g.preds(m).chain(g.succs(m)) {
-                if !s.contains(v) || grown.contains(v) {
-                    continue;
-                }
-                let mut cand = grown.clone();
-                cand.insert(v);
-                if !convex::is_convex(&cand, reach) {
-                    continue;
-                }
-                let d = ports::demand(g, &cand);
-                if !d.fits(constraints.n_in, constraints.n_out) {
-                    continue;
-                }
-                let key = (d.inputs + d.outputs, v.index());
-                if best.is_none_or(|(bk, bi, _)| key < (bk, bi)) {
-                    best = Some((key.0, key.1, v));
-                }
-            }
-        }
-        match best {
-            Some((_, _, v)) => {
-                grown.insert(v);
-            }
-            None => break,
-        }
-    }
-    grown
 }
 
 /// Builds the candidate record for a legal member set.
@@ -841,7 +803,8 @@ mod tests {
         let reach = Reachability::compute(&g);
         let cons = Constraints::new(3, 2);
         let all = NodeSet::full(g.len());
-        let pieces = enforce_ports(&g, all, &cons, &reach);
+        let csr = CsrAdjacency::from_dfg(&g);
+        let pieces = enforce_ports(&g, &csr, all, &cons, &reach);
         assert!(!pieces.is_empty());
         for p in &pieces {
             let d = ports::demand(&g, p);

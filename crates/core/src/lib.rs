@@ -55,6 +55,7 @@ pub use ant::SpFunction;
 mod candidate;
 mod evalcache;
 mod exgraph;
+mod grow;
 mod merit;
 #[cfg(any(test, feature = "reference"))]
 mod reference;

@@ -20,13 +20,14 @@
 //! `Dfg`-walking definitions; tests pin the two to bit-equal op streams.
 
 use isex_aco::{ImplChoice, PheromoneStore};
-use isex_dfg::{analysis, ports, NodeId, NodeSet, Operand, Reachability};
+use isex_dfg::{analysis, ports, CsrAdjacency, NodeId, NodeSet, Operand, Reachability};
 use isex_isa::MachineConfig;
 use isex_sched::soa::SoaGraph;
 
 use crate::ant::Walk;
 use crate::candidate::Constraints;
 use crate::exgraph::ExGraph;
+use crate::grow::LegalGrower;
 
 /// Hardware-Grouping (Fig. 4.3.6): the virtual subgraph of `x` — `x` plus
 /// every node reachable from it through neighbours that chose a hardware
@@ -120,7 +121,8 @@ pub(crate) fn apply_merit_ops(store: &mut PheromoneStore, ops: &[MeritOp]) {
 /// as a replayable op sequence: the store is only ever touched through
 /// `scale_merit`, so recording the calls captures the whole update.
 /// `critical` marks the walk's critical-path operations; every graph query
-/// is answered by `prims` over the round's SoA arrays.
+/// is answered by `prims` over the round's SoA arrays, and case 3's legal
+/// sub-blobs are grown by `grower`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn compute_merit_ops(
     g: &ExGraph,
@@ -131,6 +133,7 @@ pub(crate) fn compute_merit_ops(
     params: &isex_aco::AcoParams,
     reach: &Reachability,
     prims: &mut FastPrims<'_>,
+    grower: &mut LegalGrower,
 ) -> Vec<MeritOp> {
     let mut ops: Vec<MeritOp> = Vec::new();
     let mut vs_buf = NodeSet::new(g.len());
@@ -168,10 +171,7 @@ pub(crate) fn compute_merit_ops(
         // sub-blob around `x` — otherwise on dense blocks every hardware
         // merit collapses and the search starves (the paper's penalties
         // assume the violating state is transient).
-        let demand = prims.demand(g, &vs_buf);
-        let io_ok = demand.fits(constraints.n_in, constraints.n_out);
-        let convex_ok = prims.is_convex(&vs_buf, reach);
-        let legal_store;
+        let (io_ok, convex_ok) = prims.legality(g, x, &vs_buf, constraints, reach);
         let vs: &NodeSet = if !io_ok || !convex_ok {
             for j in 0..op.hw.len() {
                 if !io_ok {
@@ -181,11 +181,11 @@ pub(crate) fn compute_merit_ops(
                     ops.push((xi, ImplChoice::Hw(j), params.beta_convex));
                 }
             }
-            legal_store = crate::explore::grow_legal_from(g, x, &vs_buf, constraints, reach);
-            if legal_store.len() < 2 {
+            let legal = grower.grow(g, prims.adj, reach, constraints, x, &vs_buf);
+            if legal.len() < 2 {
                 continue;
             }
-            &legal_store
+            legal
         } else {
             &vs_buf
         };
@@ -224,8 +224,9 @@ pub(crate) fn compute_merit_ops(
 }
 
 /// Per-round scratch of the fast merit primitives: hardware-choice
-/// connected components (recomputed once per walk), the longest-path finish
-/// buffer, and the demand/convexity sets. Steady state allocates nothing.
+/// connected components and their legality (recomputed once per walk), the
+/// longest-path finish buffer, and the demand/convexity sets. Steady state
+/// allocates nothing.
 pub(crate) struct FastMeritScratch {
     /// Component id per node for the current walk; `u32::MAX` when the node
     /// did not choose hardware.
@@ -233,6 +234,8 @@ pub(crate) struct FastMeritScratch {
     /// Component member sets, pooled across walks.
     comps: Vec<NodeSet>,
     n_comps: usize,
+    /// `(io_ok, convex_ok)` per component, filled on first use in a walk.
+    comp_legal: Vec<Option<(bool, bool)>>,
     /// Longest-path finish times. Stale entries are never read: members are
     /// visited in ascending index order and every predecessor of a member
     /// inside the set has a smaller index (the topological-order invariant
@@ -253,6 +256,7 @@ impl Default for FastMeritScratch {
             comp_id: Vec::new(),
             comps: Vec::new(),
             n_comps: 0,
+            comp_legal: Vec::new(),
             finish: Vec::new(),
             ext: NodeSet::new(0),
             live_ins: Vec::new(),
@@ -310,6 +314,8 @@ impl FastMeritScratch {
                 }
             }
         }
+        self.comp_legal.clear();
+        self.comp_legal.resize(self.n_comps, None);
     }
 }
 
@@ -324,6 +330,8 @@ impl FastMeritScratch {
 pub(crate) struct FastPrims<'a> {
     pub scratch: &'a mut FastMeritScratch,
     pub base: &'a SoaGraph,
+    /// The round's frozen adjacency, which the legal-sub-blob grower walks.
+    pub adj: &'a CsrAdjacency,
     /// Original-node → quotient-node map of this walk's quotient.
     pub node_map: &'a [u32],
     /// Quotient latencies, ASAP and ALAP-at-`len`.
@@ -336,12 +344,19 @@ pub(crate) struct FastPrims<'a> {
 
 impl FastPrims<'_> {
     /// Fills `out` with the virtual subgraph of `x` (Fig. 4.3.6): `x` plus
-    /// the component of every hardware-chosen neighbour.
+    /// the component of every hardware-chosen neighbour. A hardware-chosen
+    /// `x` shares one component with all of those neighbours, so its
+    /// virtual subgraph is that component.
     fn virtual_subgraph_into(&mut self, walk: &Walk, x: NodeId, out: &mut NodeSet) {
         out.clear();
-        out.insert(x);
         let xi = x.index() as u32;
         let s = &mut *self.scratch;
+        let own = s.comp_id[xi as usize];
+        if own != u32::MAX {
+            out.union_with(&s.comps[own as usize]);
+            return;
+        }
+        out.insert(x);
         let mut last = u32::MAX;
         for &v in self
             .base
@@ -357,6 +372,31 @@ impl FastPrims<'_> {
                 }
             }
         }
+    }
+
+    /// `(io_ok, convex_ok)` of `vs`, the virtual subgraph of `x`. For a
+    /// hardware-chosen `x`, `vs` is `x`'s component, so the pair is
+    /// computed once per component per walk and reused by every member.
+    fn legality(
+        &mut self,
+        g: &ExGraph,
+        x: NodeId,
+        vs: &NodeSet,
+        constraints: &Constraints,
+        reach: &Reachability,
+    ) -> (bool, bool) {
+        // A software-chosen `x` has no component (`u32::MAX`, never a
+        // table index), so its pair is computed every time.
+        let k = self.scratch.comp_id[x.index()] as usize;
+        if let Some(&Some(pair)) = self.scratch.comp_legal.get(k) {
+            return pair;
+        }
+        let io_ok = self.demand(g, vs).fits(constraints.n_in, constraints.n_out);
+        let pair = (io_ok, self.is_convex(vs, reach));
+        if let Some(slot) = self.scratch.comp_legal.get_mut(k) {
+            *slot = Some(pair);
+        }
+        pair
     }
 
     /// `IN/OUT` port demand of `vs`.

@@ -18,7 +18,7 @@
 use std::rc::Rc;
 
 use isex_aco::{AcoParams, ImplChoice};
-use isex_dfg::{analysis, convex, ports, NodeId, NodeSet, Reachability};
+use isex_dfg::{analysis, convex, ports, CsrAdjacency, NodeId, NodeSet, Reachability};
 use isex_isa::{MachineConfig, ProgramDfg};
 use isex_sched::collapse::{collapse_groups, CollapsedGraph};
 use isex_sched::{timing, SchedDfg, SchedOp, UnitClass};
@@ -27,7 +27,7 @@ use rand::Rng;
 use crate::ant::Walk;
 use crate::candidate::{Constraints, IseCandidate};
 use crate::exgraph::{self, ExGraph, ExKind};
-use crate::explore::{grow_legal_from, Evaluator, Exploration, MultiIssueExplorer, TraceEntry};
+use crate::explore::{Evaluator, Exploration, MultiIssueExplorer, TraceEntry};
 use crate::merit::{evaluate_option, virtual_subgraph, MeritOp, VsEval};
 
 impl MultiIssueExplorer {
@@ -77,6 +77,7 @@ impl Evaluator for Reference {
     fn merit_ops(
         &mut self,
         g: &ExGraph,
+        _adj: &CsrAdjacency,
         walk: &Walk,
         constraints: &Constraints,
         params: &AcoParams,
@@ -254,6 +255,53 @@ pub(crate) fn merit_ops(
         }
     }
     ops
+}
+
+/// Grows a maximal legal (convex, port-feasible) sub-piece of `s` from
+/// `seed`: each step absorbs the frontier node whose union with the grown
+/// set is convex and fits the ports with the smallest `(IN + OUT, index)`,
+/// re-deriving both checks from their definitions for every probe. The
+/// oracle `crate::grow::LegalGrower` is pinned against.
+pub(crate) fn grow_legal_from(
+    g: &ExGraph,
+    seed: NodeId,
+    s: &NodeSet,
+    constraints: &Constraints,
+    reach: &Reachability,
+) -> NodeSet {
+    let mut grown = NodeSet::new(g.len());
+    grown.insert(seed);
+    loop {
+        // Frontier: members of s adjacent to the grown set.
+        let mut best: Option<(usize, usize, NodeId)> = None;
+        for m in &grown.clone() {
+            for v in g.preds(m).chain(g.succs(m)) {
+                if !s.contains(v) || grown.contains(v) {
+                    continue;
+                }
+                let mut cand = grown.clone();
+                cand.insert(v);
+                if !convex::is_convex(&cand, reach) {
+                    continue;
+                }
+                let d = ports::demand(g, &cand);
+                if !d.fits(constraints.n_in, constraints.n_out) {
+                    continue;
+                }
+                let key = (d.inputs + d.outputs, v.index());
+                if best.is_none_or(|(bk, bi, _)| key < (bk, bi)) {
+                    best = Some((key.0, key.1, v));
+                }
+            }
+        }
+        match best {
+            Some((_, _, v)) => {
+                grown.insert(v);
+            }
+            None => break,
+        }
+    }
+    grown
 }
 
 /// Schedule length of the original graph with the committed candidates

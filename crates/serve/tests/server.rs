@@ -303,8 +303,10 @@ fn tight_deadline_yields_degraded_200_within_budget() {
     // A run that would take seconds, boxed into a 1-second budget: the
     // watchdog trips the run at the budget minus grace, the engine hands
     // back its best-so-far partial, and the waiter gets a 200 with
-    // `"degraded": true` instead of an empty-handed 504.
-    let mut req = slow(0xDEAD);
+    // `"degraded": true` instead of an empty-handed 504. Extra repeats,
+    // not a larger effort, make the run long: the stop flag is checked
+    // between rounds, so a round must stay shorter than the grace window.
+    let mut req = request(0xDEAD, SLOW_EFFORT, 12);
     req.timeout_ms = Some(1_000);
     let t0 = Instant::now();
     let response = client::explore(&addr, &req).expect("partial answer, not an error");
@@ -337,7 +339,10 @@ fn tight_deadline_yields_degraded_200_within_budget() {
     // The partial must never have entered a cache tier: the same
     // exploration with a full budget recomputes from scratch and matches a
     // direct run bitwise.
-    let full = slow(0xDEAD);
+    let full = ExploreRequest {
+        timeout_ms: None,
+        ..req
+    };
     let again = client::explore(&addr, &full).expect("full-budget run");
     assert!(!again.cached, "degraded result must not have been cached");
     assert!(!again.degraded);
