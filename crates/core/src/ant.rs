@@ -9,7 +9,7 @@
 //! they can pack with an already-scheduled parent in the same time slot.
 
 use isex_aco::{roulette, ImplChoice, PheromoneStore};
-use isex_dfg::{analysis, ports, CsrAdjacency, NodeId, NodeSet};
+use isex_dfg::{ports, CsrAdjacency, NodeId, NodeSet, Operand};
 use isex_isa::MachineConfig;
 use isex_sched::resources::ResourceTable;
 use isex_sched::{SchedOp, UnitClass};
@@ -114,16 +114,75 @@ impl SpFunction {
     }
 }
 
-/// Reusable buffers for [`Ant::run_with`]: the Ready-Matrix entry and
-/// weight vectors, the scheduled flags and the resource table. One scratch
-/// serves every walk of a round (and across rounds of shrinking graphs).
-#[derive(Debug, Default)]
+/// Reusable buffers for [`Ant::run_with`]: the walk's Ready-Matrix rows,
+/// the ready set and counters, the resource table and the group-join
+/// scratch. One scratch serves every walk of a round (and across rounds of
+/// shrinking graphs); steady state allocates only the walk itself.
+#[derive(Debug)]
 pub(crate) struct AntScratch {
+    /// Every `(node, option)` entry of the graph with its Eq. 1 weight,
+    /// node-major: node `i`'s row is `row_off[i]..row_off[i + 1]`. Built
+    /// once per walk, since the store does not change during a walk.
+    row_entries: Vec<(NodeId, ImplChoice)>,
+    row_weights: Vec<f64>,
+    row_off: Vec<u32>,
+    /// This step's Ready-Matrix: the ready rows in ascending node order.
     entries: Vec<(NodeId, ImplChoice)>,
     weights: Vec<f64>,
-    scheduled: Vec<bool>,
+    /// Unscheduled nodes whose predecessors are all scheduled.
+    ready: NodeSet,
+    /// Unscheduled predecessors per node.
     pending: Vec<u32>,
     resources: Option<ResourceTable>,
+    joins: JoinScratch,
+}
+
+impl Default for AntScratch {
+    fn default() -> Self {
+        AntScratch {
+            row_entries: Vec::new(),
+            row_weights: Vec::new(),
+            row_off: Vec::new(),
+            entries: Vec::new(),
+            weights: Vec::new(),
+            ready: NodeSet::new(0),
+            pending: Vec::new(),
+            resources: None,
+            joins: JoinScratch::default(),
+        }
+    }
+}
+
+/// Per-walk state of hardware placement.
+#[derive(Debug)]
+struct JoinScratch {
+    /// Finish time (ns) of each group member on its group's longest
+    /// combinational path. A member's value is final once it is placed:
+    /// every later member of its group is scheduled after it and so is
+    /// never one of its predecessors.
+    finish_ns: Vec<f64>,
+    /// Per group, the earliest cycle at which every external input of its
+    /// members is ready. Those producers' finish times are frozen: a
+    /// software producer's never moves, and a producer's group is closed
+    /// when its consumer is placed.
+    ready_at: Vec<u32>,
+    /// Candidate groups of one hardware placement.
+    cands: Vec<usize>,
+    /// External producers and distinct live-ins of a probed union.
+    ext: NodeSet,
+    live_ins: Vec<u32>,
+}
+
+impl Default for JoinScratch {
+    fn default() -> Self {
+        JoinScratch {
+            finish_ns: Vec::new(),
+            ready_at: Vec::new(),
+            cands: Vec::new(),
+            ext: NodeSet::new(0),
+            live_ins: Vec::new(),
+        }
+    }
 }
 
 /// The per-round immutable context of the walks.
@@ -171,7 +230,9 @@ impl<'a> Ant<'a> {
 
     /// [`Ant::run`] reusing the buffers in `scratch`, so the round loop
     /// (hundreds of walks over the same graph) allocates only the walk
-    /// itself.
+    /// itself. Each step costs the size of the ready set, not of the graph:
+    /// the ready nodes are kept as a set, and their rows are copied from
+    /// the walk's precomputed Ready-Matrix rows.
     pub fn run_with<R: Rng + ?Sized>(
         &self,
         store: &PheromoneStore,
@@ -187,35 +248,53 @@ impl<'a> Ant<'a> {
             tet: 0,
         };
         let AntScratch {
+            row_entries,
+            row_weights,
+            row_off,
             entries,
             weights,
-            scheduled,
+            ready,
             pending,
             resources,
+            joins,
         } = scratch;
-        scheduled.clear();
-        scheduled.resize(k, false);
+        row_entries.clear();
+        row_weights.clear();
+        row_off.clear();
+        row_off.push(0);
+        for i in 0..k {
+            let n = NodeId::new(i as u32);
+            for c in store.choice_iter(i) {
+                row_entries.push((n, c));
+                row_weights.push(store.attraction(i, c) + self.lambda * self.sp[i]);
+            }
+            row_off.push(row_entries.len() as u32);
+        }
         self.adj.pred_counts_into(pending);
+        if ready.universe() != k {
+            *ready = NodeSet::new(k);
+            joins.ext = NodeSet::new(k);
+        }
+        ready.clear();
+        for (i, &p) in pending.iter().enumerate() {
+            if p == 0 {
+                ready.insert(NodeId::new(i as u32));
+            }
+        }
+        joins.finish_ns.clear();
+        joins.finish_ns.resize(k, 0.0);
+        joins.ready_at.clear();
         let rt = resources.get_or_insert_with(|| ResourceTable::new(*self.machine));
         rt.reset(*self.machine);
-        let mut remaining = k;
 
-        while remaining > 0 {
-            // Ready-Matrix: (operation, option) entries for ready ops.
+        for _ in 0..k {
+            // Ready-Matrix: the ready nodes' rows, in ascending node order.
             entries.clear();
             weights.clear();
-            // Counter-maintained readiness: pending[n] == 0 exactly when
-            // every predecessor is scheduled; entries are listed in
-            // ascending node order.
-            for i in 0..k {
-                if scheduled[i] || pending[i] != 0 {
-                    continue;
-                }
-                let n = NodeId::new(i as u32);
-                for c in store.choice_iter(i) {
-                    entries.push((n, c));
-                    weights.push(store.attraction(i, c) + self.lambda * self.sp[i]);
-                }
+            for n in ready.iter() {
+                let row = row_off[n.index()] as usize..row_off[n.index() + 1] as usize;
+                entries.extend_from_slice(&row_entries[row.clone()]);
+                weights.extend_from_slice(&row_weights[row]);
             }
             debug_assert!(!entries.is_empty(), "DAG always has a ready node");
             let pick = roulette(rng, weights);
@@ -223,13 +302,15 @@ impl<'a> Ant<'a> {
             walk.choice[n.index()] = c;
             match c {
                 ImplChoice::Sw(j) => self.schedule_sw(&mut walk, rt, n, j),
-                ImplChoice::Hw(j) => self.schedule_hw(&mut walk, rt, n, j),
+                ImplChoice::Hw(j) => self.schedule_hw(&mut walk, rt, joins, n, j),
             }
-            scheduled[n.index()] = true;
+            ready.remove(n);
             for &sc in self.adj.succs(n.index()) {
                 pending[sc.index()] -= 1;
+                if pending[sc.index()] == 0 {
+                    ready.insert(sc);
+                }
             }
-            remaining -= 1;
         }
 
         walk.tet = self
@@ -277,22 +358,32 @@ impl<'a> Ant<'a> {
     /// Operation-Scheduling for a hardware option (Fig. 4.3.4): first try
     /// to pack `n` with the ISE group of a parent in that group's time
     /// slot; otherwise open a new group at the earliest feasible slot.
-    fn schedule_hw(&self, walk: &mut Walk, rt: &mut ResourceTable, n: NodeId, j: usize) {
+    fn schedule_hw(
+        &self,
+        walk: &mut Walk,
+        rt: &mut ResourceTable,
+        js: &mut JoinScratch,
+        n: NodeId,
+        j: usize,
+    ) {
         // Candidate groups: open groups containing a parent, latest issue
         // first (the paper packs at `LTS_i`, the latest parent's slot).
-        let mut cands: Vec<usize> = self
-            .adj
-            .preds(n.index())
-            .iter()
-            .filter_map(|p| walk.group_of[p.index()])
-            .filter(|&gi| walk.groups[gi].open)
-            .collect();
-        cands.sort_unstable();
-        cands.dedup();
-        cands.sort_by_key(|&gi| std::cmp::Reverse(walk.groups[gi].issue));
+        js.cands.clear();
+        js.cands.extend(
+            self.adj
+                .preds(n.index())
+                .iter()
+                .filter_map(|p| walk.group_of[p.index()])
+                .filter(|&gi| walk.groups[gi].open),
+        );
+        js.cands.sort_unstable();
+        js.cands.dedup();
+        js.cands
+            .sort_by_key(|&gi| std::cmp::Reverse(walk.groups[gi].issue));
 
-        for gi in cands {
-            if self.try_join(walk, rt, n, j, gi) {
+        for ci in 0..js.cands.len() {
+            let gi = js.cands[ci];
+            if self.try_join(walk, rt, js, n, j, gi) {
                 self.close_pred_groups(walk, n, Some(gi));
                 return;
             }
@@ -325,8 +416,10 @@ impl<'a> Ant<'a> {
             writes,
             open: true,
         });
-        walk.group_of[n.index()] = Some(gi);
-        walk.issue[n.index()] = cycle;
+        js.finish_ns[ni] = delay;
+        js.ready_at.push(est);
+        walk.group_of[ni] = Some(gi);
+        walk.issue[ni] = cycle;
         self.close_pred_groups(walk, n, Some(gi));
     }
 
@@ -334,38 +427,48 @@ impl<'a> Ant<'a> {
     /// group's current slot is too early for `n`'s external inputs, the
     /// whole (still open) group slides to a later slot — Fig. 4.3.4's
     /// "while cannot pack operation i … at CTS_i: CTS_i++".
+    ///
+    /// `n` is a sink of the union: every member was scheduled before it, so
+    /// none consumes its value. The members' longest-path finish times
+    /// therefore stay as they were, and the union's delay is the group's
+    /// old delay or `n`'s own finish, whichever is larger — exactly the
+    /// union's full longest path, since `f64::max` is exact.
     fn try_join(
         &self,
         walk: &mut Walk,
         rt: &mut ResourceTable,
+        js: &mut JoinScratch,
         n: NodeId,
         j: usize,
         gi: usize,
     ) -> bool {
-        let mut union = walk.groups[gi].members.clone();
-        union.insert(n);
-        let demand = ports::demand(self.g, &union);
+        let ni = n.index();
+        let group = &mut walk.groups[gi];
+        // Probe the union in place; a rejected join removes `n` again.
+        group.members.insert(n);
+        let demand = self.demand_of(&group.members, js);
         if !demand.fits(self.constraints.n_in, self.constraints.n_out) {
+            group.members.remove(n);
             return false;
         }
         // Grown combinational delay and latency.
-        let delay = analysis::weighted_longest_path_within(self.g, &union, |y, op| {
-            if y == n {
-                op.hw[j].delay_ns
-            } else {
-                match walk.choice[y.index()] {
-                    ImplChoice::Hw(h) => op.hw[h].delay_ns,
-                    ImplChoice::Sw(_) => unreachable!("group members chose hardware"),
-                }
+        let mut start = 0.0f64;
+        for &p in self.adj.preds(ni) {
+            if walk.group_of[p.index()] == Some(gi) {
+                start = start.max(js.finish_ns[p.index()]);
             }
-        });
+        }
+        let finish_n = start + self.g.node(n).payload().hw[j].delay_ns;
+        let delay = group.delay_ns.max(finish_n);
         let latency = self.machine.cycles_for_delay_ns(delay);
 
         // Earliest slot at which every external input of the union is ready.
-        let mut t_needed = 0;
-        self.adj
-            .for_external_preds(&union, |p| t_needed = t_needed.max(walk.finish(self.g, p)));
-        let issue = walk.groups[gi].issue;
+        let mut t_needed = js.ready_at[gi];
+        for &p in self.adj.preds(ni) {
+            if walk.group_of[p.index()] != Some(gi) {
+                t_needed = t_needed.max(walk.finish(self.g, p));
+            }
+        }
 
         // Re-place the grown group: release the old footprint, find the
         // earliest slot where the union's inputs are ready and the (possibly
@@ -373,12 +476,9 @@ impl<'a> Ant<'a> {
         // group is open — nobody has observed its finish time — so moving
         // its slot is legal; this is Fig. 4.3.4's `CTS++` loop generalised
         // to both directions and to occupancy-changing growth.
-        let old_op = SchedOp::new(
-            walk.groups[gi].latency,
-            walk.groups[gi].reads,
-            walk.groups[gi].writes,
-            UnitClass::Asfu,
-        );
+        let group = &mut walk.groups[gi];
+        let issue = group.issue;
+        let old_op = SchedOp::new(group.latency, group.reads, group.writes, UnitClass::Asfu);
         let new_op = SchedOp::new(latency, demand.inputs, demand.outputs, UnitClass::Asfu);
         rt.uncommit(issue, &old_op);
         let new_issue = match rt.earliest_fit(t_needed, &new_op) {
@@ -388,22 +488,55 @@ impl<'a> Ant<'a> {
             }
             None => {
                 rt.commit(issue, &old_op); // roll back
+                group.members.remove(n);
                 return false;
             }
         };
 
-        let group = &mut walk.groups[gi];
-        group.members = union;
         group.reads = demand.inputs;
         group.writes = demand.outputs;
         group.delay_ns = delay;
         group.latency = latency;
         group.issue = new_issue;
-        walk.group_of[n.index()] = Some(gi);
+        js.finish_ns[ni] = finish_n;
+        js.ready_at[gi] = t_needed;
+        walk.group_of[ni] = Some(gi);
         for m in &group.members {
             walk.issue[m.index()] = new_issue;
         }
         true
+    }
+
+    /// `IN/OUT` port demand of `members`, scanning the members only.
+    fn demand_of(&self, members: &NodeSet, js: &mut JoinScratch) -> ports::PortDemand {
+        js.ext.clear();
+        js.live_ins.clear();
+        let mut inputs = 0usize;
+        let mut outputs = 0usize;
+        for m in members {
+            let mi = m.index();
+            for &p in self.adj.preds(mi) {
+                if !members.contains(p) && js.ext.insert(p) {
+                    inputs += 1;
+                }
+            }
+            let node = self.g.node(m);
+            for op in node.operands() {
+                if let Operand::LiveIn(v) = *op {
+                    let raw = v.index() as u32;
+                    if !js.live_ins.contains(&raw) {
+                        js.live_ins.push(raw);
+                    }
+                }
+            }
+            if node.is_live_out() || self.adj.succs(mi).iter().any(|&s| !members.contains(s)) {
+                outputs += 1;
+            }
+        }
+        ports::PortDemand {
+            inputs: inputs + js.live_ins.len(),
+            outputs,
+        }
     }
 }
 
@@ -677,5 +810,90 @@ mod tests {
             assert!(d.outputs <= 1, "OUT(S) respected, got {}", d.outputs);
         }
         assert!(w.groups.len() >= 3, "forced to split");
+    }
+
+    /// Every field of a walk, with delays as bit patterns.
+    type WalkFields = (
+        Vec<ImplChoice>,
+        Vec<u32>,
+        Vec<Option<usize>>,
+        Vec<(NodeSet, u32, u64, u32, usize, usize, bool)>,
+        u32,
+    );
+
+    fn fields(w: &Walk) -> WalkFields {
+        let groups = w
+            .groups
+            .iter()
+            .map(|gr| {
+                (
+                    gr.members.clone(),
+                    gr.issue,
+                    gr.delay_ns.to_bits(),
+                    gr.latency,
+                    gr.reads,
+                    gr.writes,
+                    gr.open,
+                )
+            })
+            .collect();
+        (
+            w.choice.clone(),
+            w.issue.clone(),
+            w.group_of.clone(),
+            groups,
+            w.tet,
+        )
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// Blocks of 20–200 ops under three port budgets, on a default store
+        /// and on one biased towards hardware (joins, slides past loads and
+        /// port rejections): the O(ready) walk equals the rescanning
+        /// reference walk field for field and consumes the same draws. One
+        /// scratch serves every graph and store of the case, so a buffer
+        /// kept from an earlier graph or store shows up as a mismatch.
+        #[test]
+        fn walks_match_the_reference_walk(
+            sizes in proptest::collection::vec(20usize..200, 2..4),
+            width in 2usize..8,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            use isex_workloads::random::{random_dfg, RandomDfgConfig};
+            use rand::RngCore;
+
+            let budgets = [
+                (Constraints::new(4, 2), MachineConfig::preset_2issue_4r2w()),
+                (Constraints::new(6, 3), MachineConfig::preset_2issue_6r3w()),
+                (Constraints::new(2, 1), MachineConfig::preset_2issue_4r2w()),
+            ];
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let mut scratch = AntScratch::default();
+            for &nodes in &sizes {
+                let shape = RandomDfgConfig { nodes, width, ..RandomDfgConfig::default() };
+                let g = exgraph::build(&random_dfg(&shape, &mut rng));
+                let csr = CsrAdjacency::from_dfg(&g);
+                for (cons, m) in &budgets {
+                    let (ant, default_store) = context(&g, m, cons, &csr);
+                    let mut biased = default_store.clone();
+                    for n in 0..g.len() {
+                        for j in 0..g.node(NodeId::new(n as u32)).payload().hw.len() {
+                            biased.set_merit(n, ImplChoice::Hw(j), 1e3);
+                        }
+                    }
+                    for store in [&default_store, &biased] {
+                        let walk_seed = rng.next_u64();
+                        let mut fast_rng = rand::rngs::StdRng::seed_from_u64(walk_seed);
+                        let mut slow_rng = rand::rngs::StdRng::seed_from_u64(walk_seed);
+                        let fast = ant.run_with(store, &mut fast_rng, &mut scratch);
+                        let slow = crate::reference::run_walk(&ant, store, &mut slow_rng);
+                        proptest::prop_assert_eq!(fields(&fast), fields(&slow));
+                        proptest::prop_assert_eq!(fast_rng.next_u64(), slow_rng.next_u64());
+                    }
+                }
+            }
+        }
     }
 }

@@ -20,7 +20,7 @@
 //! `Dfg`-walking definitions; tests pin the two to bit-equal op streams.
 
 use isex_aco::{ImplChoice, PheromoneStore};
-use isex_dfg::{analysis, ports, CsrAdjacency, NodeId, NodeSet, Operand, Reachability};
+use isex_dfg::{analysis, CsrAdjacency, NodeId, NodeSet, Operand, Reachability};
 use isex_isa::MachineConfig;
 use isex_sched::soa::SoaGraph;
 
@@ -224,9 +224,9 @@ pub(crate) fn compute_merit_ops(
 }
 
 /// Per-round scratch of the fast merit primitives: hardware-choice
-/// connected components and their legality (recomputed once per walk), the
-/// longest-path finish buffer, and the demand/convexity sets. Steady state
-/// allocates nothing.
+/// connected components and their legality summaries (recomputed per
+/// walk), the longest-path finish buffer, and the sets that combine
+/// summaries. Steady state allocates nothing.
 pub(crate) struct FastMeritScratch {
     /// Component id per node for the current walk; `u32::MAX` when the node
     /// did not choose hardware.
@@ -234,20 +234,57 @@ pub(crate) struct FastMeritScratch {
     /// Component member sets, pooled across walks.
     comps: Vec<NodeSet>,
     n_comps: usize,
-    /// `(io_ok, convex_ok)` per component, filled on first use in a walk.
-    comp_legal: Vec<Option<(bool, bool)>>,
+    /// Legality summary per component, pooled across walks.
+    summaries: Vec<CompSummary>,
+    /// Whether `summaries[k]` describes this walk's component `k`; a
+    /// summary is built on first use.
+    summarised: Vec<bool>,
+    /// Per hardware-chosen node, its distinct successors outside its
+    /// component (valid once that component is summarised).
+    outside: Vec<u32>,
+    /// The distinct components that make up the current virtual subgraph.
+    vs_comps: Vec<u32>,
     /// Longest-path finish times. Stale entries are never read: members are
     /// visited in ascending index order and every predecessor of a member
     /// inside the set has a smaller index (the topological-order invariant
     /// of [`isex_dfg::Dfg`]), so it was written earlier in the same call.
     finish: Vec<f64>,
-    /// External-producer set of the demand query.
-    ext: NodeSet,
-    live_ins: Vec<u32>,
     stack: Vec<u32>,
-    /// Descendants/ancestors unions of the convexity test.
+    /// Unions of summaries for a software-chosen `x`: external producers,
+    /// live-ins (over live-in indices), descendants and ancestors.
+    ext: NodeSet,
+    live_ins: NodeSet,
     desc: NodeSet,
     anc: NodeSet,
+}
+
+/// What the legality of a virtual subgraph needs from one hardware
+/// component `C`.
+struct CompSummary {
+    /// Producers outside `C` that feed a member.
+    ext: NodeSet,
+    /// Live-in values read by members, over live-in indices.
+    live_ins: NodeSet,
+    /// Unions of the members' strict descendants and ancestors.
+    desc: NodeSet,
+    anc: NodeSet,
+    /// `OUT(C)`: members that are live out or feed a node outside `C`.
+    outputs: usize,
+    /// `(io_ok, convex_ok)` of `C` itself.
+    legal: (bool, bool),
+}
+
+impl CompSummary {
+    fn new(n: usize, live_ins: usize) -> Self {
+        CompSummary {
+            ext: NodeSet::new(n),
+            live_ins: NodeSet::new(live_ins),
+            desc: NodeSet::new(n),
+            anc: NodeSet::new(n),
+            outputs: 0,
+            legal: (true, true),
+        }
+    }
 }
 
 impl Default for FastMeritScratch {
@@ -256,15 +293,28 @@ impl Default for FastMeritScratch {
             comp_id: Vec::new(),
             comps: Vec::new(),
             n_comps: 0,
-            comp_legal: Vec::new(),
+            summaries: Vec::new(),
+            summarised: Vec::new(),
+            outside: Vec::new(),
+            vs_comps: Vec::new(),
             finish: Vec::new(),
-            ext: NodeSet::new(0),
-            live_ins: Vec::new(),
             stack: Vec::new(),
+            ext: NodeSet::new(0),
+            live_ins: NodeSet::new(0),
             desc: NodeSet::new(0),
             anc: NodeSet::new(0),
         }
     }
+}
+
+/// Word-wise convexity: no node outside `set` is both a descendant and an
+/// ancestor of members.
+fn convex_words(desc: &NodeSet, anc: &NodeSet, set: &NodeSet) -> bool {
+    desc.as_words()
+        .iter()
+        .zip(anc.as_words())
+        .zip(set.as_words())
+        .all(|((d, a), v)| d & a & !v == 0)
 }
 
 impl FastMeritScratch {
@@ -280,6 +330,7 @@ impl FastMeritScratch {
         self.n_comps = 0;
         if self.finish.len() != n {
             self.finish = vec![0.0; n];
+            self.outside = vec![0; n];
             self.ext = NodeSet::new(n);
             self.desc = NodeSet::new(n);
             self.anc = NodeSet::new(n);
@@ -314,19 +365,78 @@ impl FastMeritScratch {
                 }
             }
         }
-        self.comp_legal.clear();
-        self.comp_legal.resize(self.n_comps, None);
+        self.summarised.clear();
+        self.summarised.resize(self.n_comps, false);
+    }
+
+    /// Builds the legality summary of component `k` unless this walk
+    /// already has it.
+    fn summarise(
+        &mut self,
+        g: &ExGraph,
+        adj: &CsrAdjacency,
+        constraints: &Constraints,
+        reach: &Reachability,
+        k: usize,
+    ) {
+        if self.summarised[k] {
+            return;
+        }
+        self.summarised[k] = true;
+        let (n, n_li) = (g.len(), g.live_in_count());
+        while self.summaries.len() <= k {
+            self.summaries.push(CompSummary::new(n, n_li));
+        }
+        let sum = &mut self.summaries[k];
+        if sum.ext.universe() != n || sum.live_ins.universe() != n_li {
+            *sum = CompSummary::new(n, n_li);
+        }
+        let comp = &self.comps[k];
+        sum.ext.clear();
+        sum.live_ins.clear();
+        sum.desc.clear();
+        sum.anc.clear();
+        let mut n_ext = 0usize;
+        let mut outputs = 0usize;
+        for m in comp {
+            let mi = m.index();
+            sum.desc.union_with(reach.descendants(m));
+            sum.anc.union_with(reach.ancestors(m));
+            for &p in adj.preds(mi) {
+                if !comp.contains(p) && sum.ext.insert(p) {
+                    n_ext += 1;
+                }
+            }
+            let node = g.node(m);
+            for op in node.operands() {
+                if let Operand::LiveIn(v) = *op {
+                    sum.live_ins.insert(NodeId::new(v.index() as u32));
+                }
+            }
+            let outside = adj.succs(mi).iter().filter(|&&s| !comp.contains(s)).count();
+            self.outside[mi] = outside as u32;
+            if node.is_live_out() || outside > 0 {
+                outputs += 1;
+            }
+        }
+        sum.outputs = outputs;
+        let inputs = n_ext + sum.live_ins.len();
+        sum.legal = (
+            inputs <= constraints.n_in && outputs <= constraints.n_out,
+            convex_words(&sum.desc, &sum.anc, comp),
+        );
     }
 }
 
 /// The graph queries of the merit computation, answered over the round's
 /// SoA arrays and [`FastMeritScratch`]: virtual subgraphs by word-level
-/// component union, longest paths and port demand scanning members only,
-/// and `Max_AEC` answered directly from the persistent quotient timing
-/// vectors (`alap` holds slots at deadline `len`; the walk's deadline
-/// shifts every slot uniformly, folded in as `extra`). Every query returns
-/// the same set, count or f64 as its plain definition: max folds are
-/// order-insensitive and the f64 sums run in ascending member order.
+/// component union, legality from per-component summaries, longest paths
+/// scanning members only, and `Max_AEC` answered directly from the
+/// persistent quotient timing vectors (`alap` holds slots at deadline
+/// `len`; the walk's deadline shifts every slot uniformly, folded in as
+/// `extra`). Every query returns the same set, count or f64 as its plain
+/// definition: max folds are order-insensitive and the f64 sums run in
+/// ascending member order.
 pub(crate) struct FastPrims<'a> {
     pub scratch: &'a mut FastMeritScratch,
     pub base: &'a SoaGraph,
@@ -344,20 +454,22 @@ pub(crate) struct FastPrims<'a> {
 
 impl FastPrims<'_> {
     /// Fills `out` with the virtual subgraph of `x` (Fig. 4.3.6): `x` plus
-    /// the component of every hardware-chosen neighbour. A hardware-chosen
-    /// `x` shares one component with all of those neighbours, so its
-    /// virtual subgraph is that component.
+    /// the component of every hardware-chosen neighbour, and records those
+    /// components, each once. A hardware-chosen `x` shares one component
+    /// with all of those neighbours, so its virtual subgraph is that
+    /// component.
     fn virtual_subgraph_into(&mut self, walk: &Walk, x: NodeId, out: &mut NodeSet) {
         out.clear();
         let xi = x.index() as u32;
         let s = &mut *self.scratch;
+        s.vs_comps.clear();
         let own = s.comp_id[xi as usize];
         if own != u32::MAX {
             out.union_with(&s.comps[own as usize]);
+            s.vs_comps.push(own);
             return;
         }
         out.insert(x);
-        let mut last = u32::MAX;
         for &v in self
             .base
             .preds(xi as usize)
@@ -366,17 +478,30 @@ impl FastPrims<'_> {
         {
             if walk.choice[v as usize].is_hardware() {
                 let k = s.comp_id[v as usize];
-                if k != last {
+                if !s.vs_comps.contains(&k) {
                     out.union_with(&s.comps[k as usize]);
-                    last = k;
+                    s.vs_comps.push(k);
                 }
             }
         }
     }
 
-    /// `(io_ok, convex_ok)` of `vs`, the virtual subgraph of `x`. For a
-    /// hardware-chosen `x`, `vs` is `x`'s component, so the pair is
-    /// computed once per component per walk and reused by every member.
+    /// `(io_ok, convex_ok)` of `vs`, the virtual subgraph of `x` that
+    /// [`Self::virtual_subgraph_into`] just built.
+    ///
+    /// A hardware-chosen `x` reads its component's pair. A software-chosen
+    /// `x` combines the summaries of its neighbouring components, which is
+    /// exact because two distinct components are never adjacent (an edge
+    /// between two hardware-chosen nodes puts them in one component):
+    ///
+    /// - `IN` counts `(⋃ ext_C ∪ preds(x)) \ vs` and `⋃ live-ins_C ∪
+    ///   live-ins(x)`;
+    /// - `OUT` is `Σ OUT_C`, plus `x` if it escapes, minus each component
+    ///   predecessor of `x` that is not live out and whose only successor
+    ///   outside its component is `x` (every other node outside a component
+    ///   is outside `vs`, so only `x` can internalise a member's output);
+    /// - convex iff `(⋃ desc_C ∪ desc(x)) & (⋃ anc_C ∪ anc(x)) & !vs` is
+    ///   empty.
     fn legality(
         &mut self,
         g: &ExGraph,
@@ -385,78 +510,61 @@ impl FastPrims<'_> {
         constraints: &Constraints,
         reach: &Reachability,
     ) -> (bool, bool) {
-        // A software-chosen `x` has no component (`u32::MAX`, never a
-        // table index), so its pair is computed every time.
-        let k = self.scratch.comp_id[x.index()] as usize;
-        if let Some(&Some(pair)) = self.scratch.comp_legal.get(k) {
-            return pair;
-        }
-        let io_ok = self.demand(g, vs).fits(constraints.n_in, constraints.n_out);
-        let pair = (io_ok, self.is_convex(vs, reach));
-        if let Some(slot) = self.scratch.comp_legal.get_mut(k) {
-            *slot = Some(pair);
-        }
-        pair
-    }
-
-    /// `IN/OUT` port demand of `vs`.
-    fn demand(&mut self, g: &ExGraph, vs: &NodeSet) -> ports::PortDemand {
+        let adj = self.adj;
         let s = &mut *self.scratch;
+        for i in 0..s.vs_comps.len() {
+            s.summarise(g, adj, constraints, reach, s.vs_comps[i] as usize);
+        }
+        let xi = x.index();
+        if s.comp_id[xi] != u32::MAX {
+            return s.summaries[s.comp_id[xi] as usize].legal;
+        }
+        if s.live_ins.universe() != g.live_in_count() {
+            s.live_ins = NodeSet::new(g.live_in_count());
+        }
         s.ext.clear();
         s.live_ins.clear();
-        for n in vs {
-            for op in g.node(n).operands() {
-                match *op {
-                    Operand::Node(p) => {
-                        if !vs.contains(p) {
-                            s.ext.insert(p);
-                        }
-                    }
-                    Operand::LiveIn(v) => {
-                        let raw = v.index() as u32;
-                        if !s.live_ins.contains(&raw) {
-                            s.live_ins.push(raw);
-                        }
-                    }
-                    Operand::Const(_) => {}
-                }
-            }
-        }
-        let mut outputs = 0usize;
-        for n in vs {
-            let escapes = g.node(n).is_live_out()
-                || self
-                    .base
-                    .succs(n.index())
-                    .iter()
-                    .any(|&sc| !vs.contains(NodeId::new(sc)));
-            if escapes {
-                outputs += 1;
-            }
-        }
-        ports::PortDemand {
-            inputs: s.ext.len() + s.live_ins.len(),
-            outputs,
-        }
-    }
-
-    /// Convexity of `vs`.
-    fn is_convex(&mut self, vs: &NodeSet, reach: &Reachability) -> bool {
-        let s = &mut *self.scratch;
         s.desc.clear();
         s.anc.clear();
-        for n in vs {
-            s.desc.union_with(reach.descendants(n));
-            s.anc.union_with(reach.ancestors(n));
+        s.desc.union_with(reach.descendants(x));
+        s.anc.union_with(reach.ancestors(x));
+        let mut outputs = 0usize;
+        for &k in &s.vs_comps {
+            let sum = &s.summaries[k as usize];
+            s.ext.union_with(&sum.ext);
+            s.live_ins.union_with(&sum.live_ins);
+            s.desc.union_with(&sum.desc);
+            s.anc.union_with(&sum.anc);
+            outputs += sum.outputs;
         }
-        // Convex iff no node outside `vs` is both a descendant and an
-        // ancestor of members — word-wise: desc ∧ anc ∧ ¬vs is empty.
-        s.desc
+        for &p in adj.preds(xi) {
+            s.ext.insert(p);
+            let pi = p.index();
+            if s.comp_id[pi] != u32::MAX && !g.node(p).is_live_out() && s.outside[pi] == 1 {
+                outputs -= 1;
+            }
+        }
+        let node = g.node(x);
+        for op in node.operands() {
+            if let Operand::LiveIn(v) = *op {
+                s.live_ins.insert(NodeId::new(v.index() as u32));
+            }
+        }
+        if node.is_live_out() || adj.succs(xi).iter().any(|&sc| !vs.contains(sc)) {
+            outputs += 1;
+        }
+        let ext_inputs: usize = s
+            .ext
             .as_words()
             .iter()
-            .zip(s.anc.as_words())
             .zip(vs.as_words())
-            .all(|((d, a), v)| d & a & !v == 0)
+            .map(|(e, v)| (e & !v).count_ones() as usize)
+            .sum();
+        let inputs = ext_inputs + s.live_ins.len();
+        (
+            inputs <= constraints.n_in && outputs <= constraints.n_out,
+            convex_words(&s.desc, &s.anc, vs),
+        )
     }
 
     /// `ET(vS_x,HW-j)` and area of option `j` of `x` within `vs`.
@@ -542,7 +650,7 @@ pub(crate) mod tests {
     use crate::ant::{Ant, SpFunction};
     use crate::exgraph;
     use isex_aco::AcoParams;
-    use isex_dfg::{CsrAdjacency, Operand};
+    use isex_dfg::{convex, ports, CsrAdjacency, Operand};
     use isex_isa::{Opcode, Operation, ProgramDfg};
     use rand::SeedableRng;
 
@@ -624,5 +732,161 @@ pub(crate) mod tests {
         let ev1 = evaluate_option(&g, &w, &vs, NodeId::new(0), 1, &m);
         assert!(ev1.area > ev.area);
         assert_eq!(ev1.et_cycles, 1);
+    }
+
+    /// `(io_ok, convex_ok)`.
+    type Legality = (bool, bool);
+
+    /// `FastPrims::legality` of every operation with a hardware option,
+    /// beside the plain definitions over the same virtual subgraph.
+    fn legality_pairs(
+        g: &ExGraph,
+        walk: &Walk,
+        cons: &Constraints,
+    ) -> Vec<(NodeId, Legality, Legality)> {
+        let reach = Reachability::compute(g);
+        let adj = CsrAdjacency::from_dfg(g);
+        let base = SoaGraph::from_sched(&exgraph::to_sched(g));
+        let mut scratch = FastMeritScratch::default();
+        scratch.prepare(&base, walk);
+        let mut prims = FastPrims {
+            scratch: &mut scratch,
+            base: &base,
+            adj: &adj,
+            node_map: &[],
+            qlat: &[],
+            asap: &[],
+            alap: &[],
+            extra: 0,
+        };
+        let mut vs = NodeSet::new(g.len());
+        let mut out = Vec::new();
+        for x in g.node_ids() {
+            if g.node(x).payload().hw.is_empty() {
+                continue;
+            }
+            prims.virtual_subgraph_into(walk, x, &mut vs);
+            assert_eq!(vs, virtual_subgraph(g, walk, x));
+            let fast = prims.legality(g, x, &vs, cons, &reach);
+            let plain = (
+                ports::demand(g, &vs).fits(cons.n_in, cons.n_out),
+                convex::is_convex(&vs, &reach),
+            );
+            out.push((x, fast, plain));
+        }
+        out
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Blocks of 60–200 ops (one to four bitset words) with one node in
+        /// eight also live out, random walks of every hardware density and
+        /// three port budgets: the pair read from component summaries equals
+        /// `ports::demand` and `convex::is_convex` of the virtual subgraph,
+        /// for hardware- and software-chosen operations alike.
+        #[test]
+        fn legality_matches_the_plain_definitions(
+            nodes in 60usize..200,
+            width in 2usize..8,
+            seed in proptest::prelude::any::<u64>(),
+            density in 20u32..95,
+        ) {
+            use isex_workloads::random::{random_dfg, RandomDfgConfig};
+            use rand::Rng;
+
+            let shape = RandomDfgConfig { nodes, width, ..RandomDfgConfig::default() };
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let mut dfg = random_dfg(&shape, &mut rng);
+            for n in dfg.node_ids() {
+                if rng.gen_range(0..8u32) == 0 {
+                    dfg.set_live_out(n, true);
+                }
+            }
+            let g = exgraph::build(&dfg);
+            let mut walk = default_walk(&g);
+            for n in g.node_ids() {
+                let hw = g.node(n).payload().hw.len();
+                if hw > 0 && rng.gen_range(0..100u32) < density {
+                    walk.choice[n.index()] = ImplChoice::Hw(rng.gen_range(0..hw));
+                }
+            }
+            for (n_in, n_out) in [(2, 1), (4, 2), (6, 3)] {
+                let cons = Constraints::new(n_in, n_out);
+                for (x, fast, plain) in legality_pairs(&g, &walk, &cons) {
+                    proptest::prop_assert_eq!(fast, plain, "x = {:?}", x);
+                }
+            }
+        }
+    }
+
+    /// A software-chosen `x` between two non-convex hardware components
+    /// `{a1, a2, a3}` and `{b1, b2, b3}`: `a2` and `b2` are live out and
+    /// `x` is their only consumer, and `x` feeds `a3` and `b3`. Joining `x`
+    /// makes the union convex, and `a2`/`b2` must still count as outputs:
+    /// `OUT = 4` (`a2`, `a3`, `b2`, `b3`), one more than three write ports
+    /// allow.
+    #[test]
+    fn software_x_keeps_live_out_outputs_of_the_components_it_joins() {
+        let mut dfg = ProgramDfg::new();
+        let (p, q) = (dfg.live_in(), dfg.live_in());
+        let a1 = dfg.add_node(
+            Operation::new(Opcode::Add),
+            vec![Operand::LiveIn(p), Operand::Const(1)],
+        );
+        let a2 = dfg.add_node(
+            Operation::new(Opcode::Sll),
+            vec![Operand::Node(a1), Operand::Const(2)],
+        );
+        let b1 = dfg.add_node(
+            Operation::new(Opcode::Add),
+            vec![Operand::LiveIn(q), Operand::Const(3)],
+        );
+        let b2 = dfg.add_node(
+            Operation::new(Opcode::Sll),
+            vec![Operand::Node(b1), Operand::Const(4)],
+        );
+        let x = dfg.add_node(
+            Operation::new(Opcode::Xor),
+            vec![Operand::Node(a2), Operand::Node(b2)],
+        );
+        let a3 = dfg.add_node(
+            Operation::new(Opcode::Or),
+            vec![Operand::Node(a1), Operand::Node(x)],
+        );
+        let b3 = dfg.add_node(
+            Operation::new(Opcode::And),
+            vec![Operand::Node(b1), Operand::Node(x)],
+        );
+        for n in [a2, b2, a3, b3] {
+            dfg.set_live_out(n, true);
+        }
+        let g = exgraph::build(&dfg);
+        let mut walk = default_walk(&g);
+        for n in [a1, a2, a3, b1, b2, b3] {
+            walk.choice[n.index()] = ImplChoice::Hw(0);
+        }
+        let reach = Reachability::compute(&g);
+        for comp in [[a1, a2, a3], [b1, b2, b3]] {
+            let mut c = NodeSet::new(g.len());
+            comp.iter().for_each(|&n| {
+                c.insert(n);
+            });
+            assert_eq!(virtual_subgraph(&g, &walk, comp[0]), c);
+            assert!(!convex::is_convex(&c, &reach), "each component is illegal");
+        }
+        let vs = virtual_subgraph(&g, &walk, x);
+        assert_eq!(vs.len(), 7);
+        assert!(convex::is_convex(&vs, &reach));
+        let d = ports::demand(&g, &vs);
+        assert_eq!((d.inputs, d.outputs), (2, 4));
+
+        let cons = Constraints::new(4, 3);
+        let pairs = legality_pairs(&g, &walk, &cons);
+        for &(n, fast, plain) in &pairs {
+            assert_eq!(fast, plain, "node {n:?}");
+        }
+        let (_, at_x, _) = pairs.iter().find(|(n, _, _)| *n == x).unwrap();
+        assert_eq!(*at_x, (false, true), "OUT = 4 exceeds three write ports");
     }
 }

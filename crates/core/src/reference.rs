@@ -12,22 +12,28 @@
 //! the graph-level definitions, so byte-equal explorations pin the merit
 //! arithmetic as well as the timing kernels.
 //!
+//! [`run_walk`] is the same kind of oracle for walk construction: the
+//! Ready-Matrix rescanned at every step and every group join re-derived
+//! from `ports::demand` and the group's full longest path.
+//!
 //! Compiled only for this crate's tests and under the `reference` feature,
 //! which the workspace enables from `[dev-dependencies]` alone.
 
 use std::rc::Rc;
 
-use isex_aco::{AcoParams, ImplChoice};
+use isex_aco::{roulette, AcoParams, ImplChoice, PheromoneStore};
 use isex_dfg::{analysis, convex, ports, CsrAdjacency, NodeId, NodeSet, Reachability};
 use isex_isa::{MachineConfig, ProgramDfg};
 use isex_sched::collapse::{collapse_groups, CollapsedGraph};
+use isex_sched::resources::ResourceTable;
 use isex_sched::{timing, SchedDfg, SchedOp, UnitClass};
 use rand::Rng;
 
-use crate::ant::Walk;
+use crate::ant::{Ant, AntGroup, Walk};
 use crate::candidate::{Constraints, IseCandidate};
 use crate::exgraph::{self, ExGraph, ExKind};
 use crate::explore::{Evaluator, Exploration, MultiIssueExplorer, TraceEntry};
+use crate::grow::distinct_live_ins;
 use crate::merit::{evaluate_option, virtual_subgraph, MeritOp, VsEval};
 
 impl MultiIssueExplorer {
@@ -302,6 +308,188 @@ pub(crate) fn grow_legal_from(
         }
     }
     grown
+}
+
+/// One ACO iteration over `ant`'s graph, transcribed from Figs. 4.3.1,
+/// 4.3.3 and 4.3.4 without any incremental state: every step rescans all
+/// operations for the ready ones and recomputes each ready entry's Eq. 1
+/// weight, and every join recounts the union's ports with `ports::demand`
+/// and its delay with the union's full longest path. The oracle
+/// [`Ant::run_with`] is pinned against, walk for walk and draw for draw.
+#[cfg_attr(not(test), allow(dead_code))]
+pub(crate) fn run_walk<R: Rng + ?Sized>(
+    ant: &Ant<'_>,
+    store: &PheromoneStore,
+    rng: &mut R,
+) -> Walk {
+    let g = ant.g;
+    let k = g.len();
+    let mut walk = Walk {
+        choice: vec![ImplChoice::Sw(0); k],
+        issue: vec![0; k],
+        group_of: vec![None; k],
+        groups: Vec::new(),
+        tet: 0,
+    };
+    let mut scheduled = vec![false; k];
+    let mut rt = ResourceTable::new(*ant.machine);
+    for _ in 0..k {
+        // Ready-Matrix: every (operation, option) entry of the operations
+        // whose predecessors are all scheduled, in ascending node order.
+        let mut entries = Vec::new();
+        let mut weights = Vec::new();
+        for n in g.node_ids() {
+            let i = n.index();
+            if scheduled[i] || g.preds(n).any(|p| !scheduled[p.index()]) {
+                continue;
+            }
+            for c in store.choice_iter(i) {
+                entries.push((n, c));
+                weights.push(store.attraction(i, c) + ant.lambda * ant.sp[i]);
+            }
+        }
+        let (n, c) = entries[roulette(rng, &weights)];
+        walk.choice[n.index()] = c;
+        match c {
+            ImplChoice::Sw(j) => walk_schedule_sw(ant, &mut walk, &mut rt, n, j),
+            ImplChoice::Hw(j) => walk_schedule_hw(ant, &mut walk, &mut rt, n, j),
+        }
+        scheduled[n.index()] = true;
+    }
+    walk.tet = g.node_ids().map(|n| walk.finish(g, n)).max().unwrap_or(0);
+    walk
+}
+
+fn walk_earliest_start(g: &ExGraph, walk: &Walk, n: NodeId) -> u32 {
+    g.preds(n).map(|p| walk.finish(g, p)).max().unwrap_or(0)
+}
+
+/// Closes every open group that `n` consumed from, except `except`.
+fn walk_close_pred_groups(g: &ExGraph, walk: &mut Walk, n: NodeId, except: Option<usize>) {
+    for p in g.preds(n) {
+        if let Some(gp) = walk.group_of[p.index()] {
+            if Some(gp) != except {
+                walk.groups[gp].open = false;
+            }
+        }
+    }
+}
+
+/// Software placement (Fig. 4.3.3): the earliest slot with a free unit.
+fn walk_schedule_sw(ant: &Ant<'_>, walk: &mut Walk, rt: &mut ResourceTable, n: NodeId, j: usize) {
+    let op = ant.g.node(n).payload().sched_op(j);
+    let est = walk_earliest_start(ant.g, walk, n);
+    let cycle = rt
+        .earliest_fit(est, &op)
+        .expect("operation fits the machine");
+    rt.commit(cycle, &op);
+    walk.issue[n.index()] = cycle;
+    walk_close_pred_groups(ant.g, walk, n, None);
+}
+
+/// Hardware placement (Fig. 4.3.4): join the open group of a parent,
+/// latest issue first, else seed a new group.
+fn walk_schedule_hw(ant: &Ant<'_>, walk: &mut Walk, rt: &mut ResourceTable, n: NodeId, j: usize) {
+    let g = ant.g;
+    let mut cands: Vec<usize> = g
+        .preds(n)
+        .filter_map(|p| walk.group_of[p.index()])
+        .filter(|&gi| walk.groups[gi].open)
+        .collect();
+    cands.sort_unstable();
+    cands.dedup();
+    cands.sort_by_key(|&gi| std::cmp::Reverse(walk.groups[gi].issue));
+    for gi in cands {
+        if walk_try_join(ant, walk, rt, n, j, gi) {
+            walk_close_pred_groups(g, walk, n, Some(gi));
+            return;
+        }
+    }
+    let node = g.node(n);
+    let reads = g.preds(n).count() + distinct_live_ins(node.operands());
+    let writes = usize::from(node.is_live_out() || g.succs(n).next().is_some());
+    let delay = node.payload().hw[j].delay_ns;
+    let latency = ant.machine.cycles_for_delay_ns(delay);
+    let op = SchedOp::new(latency, reads, writes, UnitClass::Asfu);
+    let est = walk_earliest_start(g, walk, n);
+    let cycle = rt
+        .earliest_fit(est, &op)
+        .expect("ISE seed fits the machine");
+    rt.commit(cycle, &op);
+    let gi = walk.groups.len();
+    let mut members = NodeSet::new(g.len());
+    members.insert(n);
+    walk.groups.push(AntGroup {
+        members,
+        issue: cycle,
+        delay_ns: delay,
+        latency,
+        reads,
+        writes,
+        open: true,
+    });
+    walk.group_of[n.index()] = Some(gi);
+    walk.issue[n.index()] = cycle;
+    walk_close_pred_groups(g, walk, n, Some(gi));
+}
+
+/// Packs `n` into group `gi`, sliding the whole open group to the earliest
+/// slot where the union's inputs are ready and its footprint fits.
+fn walk_try_join(
+    ant: &Ant<'_>,
+    walk: &mut Walk,
+    rt: &mut ResourceTable,
+    n: NodeId,
+    j: usize,
+    gi: usize,
+) -> bool {
+    let g = ant.g;
+    let mut union = walk.groups[gi].members.clone();
+    union.insert(n);
+    let demand = ports::demand(g, &union);
+    if !demand.fits(ant.constraints.n_in, ant.constraints.n_out) {
+        return false;
+    }
+    let delay = analysis::weighted_longest_path_within(g, &union, |y, op| {
+        if y == n {
+            op.hw[j].delay_ns
+        } else {
+            match walk.choice[y.index()] {
+                ImplChoice::Hw(h) => op.hw[h].delay_ns,
+                ImplChoice::Sw(_) => unreachable!("group members chose hardware"),
+            }
+        }
+    });
+    let latency = ant.machine.cycles_for_delay_ns(delay);
+    let t_needed = union
+        .iter()
+        .flat_map(|m| g.preds(m))
+        .filter(|p| !union.contains(*p))
+        .map(|p| walk.finish(g, p))
+        .max()
+        .unwrap_or(0);
+    let group = &walk.groups[gi];
+    let issue = group.issue;
+    let old_op = SchedOp::new(group.latency, group.reads, group.writes, UnitClass::Asfu);
+    let new_op = SchedOp::new(latency, demand.inputs, demand.outputs, UnitClass::Asfu);
+    rt.uncommit(issue, &old_op);
+    let Some(new_issue) = rt.earliest_fit(t_needed, &new_op) else {
+        rt.commit(issue, &old_op);
+        return false;
+    };
+    rt.commit(new_issue, &new_op);
+    let group = &mut walk.groups[gi];
+    group.members = union;
+    group.reads = demand.inputs;
+    group.writes = demand.outputs;
+    group.delay_ns = delay;
+    group.latency = latency;
+    group.issue = new_issue;
+    walk.group_of[n.index()] = Some(gi);
+    for m in &group.members {
+        walk.issue[m.index()] = new_issue;
+    }
+    true
 }
 
 /// Schedule length of the original graph with the committed candidates

@@ -13,7 +13,6 @@
 //! iterators produce — so swapping one for the other never changes an
 //! analysis result.
 
-use crate::bitset::NodeSet;
 use crate::graph::{Dfg, NodeId};
 
 /// Compressed-sparse-row predecessor/successor adjacency of a [`Dfg`].
@@ -103,18 +102,6 @@ impl CsrAdjacency {
         out.clear();
         out.extend((0..self.len()).map(|u| self.pred_off[u + 1] - self.pred_off[u]));
     }
-
-    /// All external predecessors of `set` (distinct, ascending) folded by
-    /// `f` — a bitset-kernel helper for cone queries over member sets.
-    pub fn for_external_preds(&self, set: &NodeSet, mut f: impl FnMut(NodeId)) {
-        for m in set.iter() {
-            for &p in self.preds(m.index()) {
-                if !set.contains(p) {
-                    f(p);
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -169,18 +156,12 @@ mod tests {
     }
 
     #[test]
-    fn pred_counts_and_external_preds() {
-        let (g, [a, b, c, d]) = diamond();
+    fn pred_counts() {
+        let (g, _) = diamond();
         let csr = CsrAdjacency::from_dfg(&g);
         let mut counts = Vec::new();
         csr.pred_counts_into(&mut counts);
         assert_eq!(counts, vec![0, 1, 1, 2]);
-        let mut set = NodeSet::new(g.len());
-        set.insert(b);
-        set.insert(d);
-        let mut ext = Vec::new();
-        csr.for_external_preds(&set, |p| ext.push(p));
-        assert_eq!(ext, vec![a, c], "a feeds b, c feeds d; b→d is internal");
     }
 
     #[test]
